@@ -104,10 +104,6 @@ class PlaneEnergy:
             self.dram + other.dram,
         )
 
-    @staticmethod
-    def zero() -> "PlaneEnergy":
-        return PlaneEnergy(0.0, 0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -148,24 +144,34 @@ class EnergyModel:
         ``dvfs_factor`` multiplies the dynamic terms; 1.0 corresponds to
         the nominal P-state (the paper's fixed-frequency configuration).
         """
+        a = activity
+        return PlaneEnergy(*self.plane_energies(
+            a.dt, a.busy_core_seconds, a.flops, a.bytes_l1, a.bytes_l2,
+            a.bytes_l3, a.bytes_dram, dvfs_factor,
+        ))
+
+    def plane_energies(self, dt, busy_core_seconds, flops, bytes_l1, bytes_l2,
+                       bytes_l3, bytes_dram, dvfs_factor: float = 1.0):
+        """``(package, pp0, dram)`` joules of :meth:`interval_energy`,
+        elementwise over floats or equal-length numpy columns (one entry
+        per interval).  The operand order is the same either way, so a
+        column entry is bit-identical to the scalar result.
+        """
         if dvfs_factor <= 0:
             raise ValidationError(f"dvfs_factor must be > 0, got {dvfs_factor}")
         pp0 = dvfs_factor * (
-            self.core_active_w * activity.busy_core_seconds
-            + self.j_per_flop * activity.flops
-            + self.j_per_byte_l1 * activity.bytes_l1
-            + self.j_per_byte_l2 * activity.bytes_l2
+            self.core_active_w * busy_core_seconds
+            + self.j_per_flop * flops
+            + self.j_per_byte_l1 * bytes_l1
+            + self.j_per_byte_l2 * bytes_l2
         )
         uncore = dvfs_factor * (
-            self.j_per_byte_l3 * activity.bytes_l3
-            + self.uncore_j_per_dram_byte * activity.bytes_dram
+            self.j_per_byte_l3 * bytes_l3
+            + self.uncore_j_per_dram_byte * bytes_dram
         )
-        package = self.package_static_w * activity.dt + pp0 + uncore
-        dram = (
-            self.dram_static_w * activity.dt
-            + self.dram_j_per_byte * activity.bytes_dram
-        )
-        return PlaneEnergy(package=package, pp0=pp0, dram=dram)
+        package = self.package_static_w * dt + pp0 + uncore
+        dram = self.dram_static_w * dt + self.dram_j_per_byte * bytes_dram
+        return package, pp0, dram
 
     def idle_power_w(self) -> dict[str, float]:
         """Steady-state power of an idle machine, per plane."""

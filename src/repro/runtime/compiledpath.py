@@ -4,13 +4,13 @@ The third interchangeable engine: the incremental event sweep of
 :mod:`repro.runtime.fastpath` transcribed to C (source embedded in
 :mod:`repro.runtime._sweep_src`), compiled once per process with the
 system C compiler and driven through :mod:`ctypes`.  The hot loop
-touches only flat numeric buffers — the arena/graph is lowered once
-per ``(graph, machine)`` into a :class:`_CompiledPlan` of contiguous
-numpy arrays (CSR seat plans, successor CSR, per-task flags) cached on
-the graph exactly like fastpath's seat-plan cache, and the kernel
-writes records, interval rows and busy spans straight into
-preallocated output arrays.  No Python objects, dicts, or per-event
-allocation anywhere in the sweep.
+touches only flat numeric buffers — the arena's columns are lowered
+once per ``(graph, machine)`` by column arithmetic into a
+:class:`_CompiledPlan` of contiguous numpy arrays (CSR seat plans,
+successor CSR, per-task flags) cached on the graph (an object graph
+is columnized first), and the kernel writes records, interval rows
+and busy spans straight into preallocated output arrays.  No Python
+objects, dicts, or per-event allocation anywhere in the sweep.
 
 Numerics contract: the C kernel evaluates the same IEEE-754 double
 expressions in the same order as ``run_fast`` (compiled with
@@ -57,7 +57,7 @@ from ..observability.metrics import counter
 from ..util.errors import ConfigurationError, SchedulingError
 from ._sweep_src import ABI_VERSION, SWEEP_SOURCE
 from .arena import TaskArena
-from .scheduler import Schedule
+from .scheduler import _EPS, Schedule
 from .stats import RuntimeStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -87,10 +87,12 @@ _CSWEEPS = counter(
     description="contention intervals swept by the compiled event kernel",
 )
 
-#: Attribute under which the flattened plan bundle is cached on the
-#: graph/arena (sibling of fastpath's ``_fastpath_plan``; dropped from
-#: arena pickles the same way).
+#: Attribute under which the plan bundle is cached on the graph/arena
+#: (sibling of fastpath's ``_fastpath_plan``; dropped from arena
+#: pickles the same way).
 _PLAN_ATTR = "_compiledpath_plan"
+#: Attribute under which an object graph caches its arena conversion.
+_ARENA_ATTR = "_compiledpath_arena"
 
 _ENV_TOOLCHAIN = "REPRO_COMPILED_TOOLCHAIN"
 _ENV_CACHE = "REPRO_JIT_CACHE"
@@ -378,18 +380,19 @@ _POLICY_CODE = {"fifo": 0, "lifo": 1, "critical": 2, "steal": 3}
 
 
 # ---------------------------------------------------------------------------
-# plan flattening
-
-#: Columns of one flattened plan bundle, all contiguous:
-#:   priv CSR over ``(dim, rate, dur, adj_dur, demand)`` rows,
-#:   shared CSR over ``(dim, work)`` rows, per-task flags/creators,
-#:   successor CSR, seed tids — everything the C kernel reads.
+# plan bundle
 
 
 class _CompiledPlan:
+    """Everything the C kernel reads for one ``(graph, machine)``, as
+    contiguous arrays: the private-seat CSR over ``(dim, rate, dur,
+    adj_dur, demand)`` entries, the shared-seat CSR over ``(dim, work)``
+    entries, per-task flags, the successor CSR and the source tids."""
+
     __slots__ = (
-        "key",            # machine-constant key (same as _GraphPlan.key)
+        "key",            # (core_peak, l1_bw, l2_bw, l3_bw, dram_bw)
         "n",              # task count the bundle was built for
+        "arena",          # the columns it was built from (names, priorities)
         "priv_ptr", "priv_dim", "priv_rate", "priv_dur", "priv_adj",
         "priv_dem",
         "shr_ptr", "shr_dim", "shr_work",
@@ -402,103 +405,110 @@ class _CompiledPlan:
     )
 
 
-def _flatten_plans(gp, graph) -> _CompiledPlan:
-    """Lower a fastpath ``_GraphPlan`` into contiguous arrays.
+def _csr(valid: np.ndarray, *columns: np.ndarray):
+    """Row-major CSR of the ``True`` cells of the ``(n, k)`` mask
+    *valid*: ``(indptr, dims, *values)``, entries of each row in column
+    order."""
+    ptr = np.zeros(len(valid) + 1, dtype=np.int64)
+    np.cumsum(valid.sum(axis=1), out=ptr[1:])
+    dims = np.nonzero(valid)[1].astype(np.int64)
+    return (ptr, dims, *(c[valid] for c in columns))
 
-    The plan floats are reused verbatim (``_build_plans`` already
-    hoisted the divisions), so the bundle is bit-identical to what the
-    fast kernel seats — flattening only changes the container.
+
+def _build_bundle(arena: TaskArena, key: tuple) -> _CompiledPlan:
+    """Lower *arena*'s columns to the kernel's seat plans with numpy.
+
+    Per task and in dimension order: a private entry for each of
+    flops/L1/L2 with demand above EPS and a positive service rate, with
+    ``rate``, ``dur = d/rate`` and ``adj = dur - EPS/rate``; a shared
+    entry for L3/DRAM demand above EPS.  ``alive0`` counts the entries,
+    or is ``-1 - dim`` for the first dimension with demand but no
+    positive rate (the kernel raises on dispatch).  Every float is the
+    elementwise expression the fast engine's scalar plan builder
+    evaluates, in the same operand order, so the plans are
+    bit-identical to the fast engine's.
     """
-    plans = gp.plans
-    n = len(plans)
-    cp = _CompiledPlan()
-    cp.key = gp.key
-    cp.n = n
-    cp.any_created = gp.any_created
-    cp.crit_prio = None
-
-    priv_ptr = np.empty(n + 1, dtype=np.int64)
-    shr_ptr = np.empty(n + 1, dtype=np.int64)
-    priv_dim: list[int] = []
-    priv_rate: list[float] = []
-    priv_dur: list[float] = []
-    priv_adj: list[float] = []
-    priv_dem: list[float] = []
-    shr_dim: list[int] = []
-    shr_work: list[float] = []
-    alive0 = np.empty(n, dtype=np.int64)
-    affinity = np.empty(n, dtype=np.uint8)
-    priv_ptr[0] = 0
-    shr_ptr[0] = 0
-    for i, (priv, shr, al0, aff) in enumerate(plans):
-        for dim, rate, dur, adj, d in priv:
-            priv_dim.append(dim)
-            priv_rate.append(rate)
-            priv_dur.append(dur)
-            priv_adj.append(adj)
-            priv_dem.append(d)
-        for dim, work in shr:
-            shr_dim.append(dim)
-            shr_work.append(work)
-        priv_ptr[i + 1] = len(priv_dim)
-        shr_ptr[i + 1] = len(shr_dim)
-        alive0[i] = al0
-        affinity[i] = 1 if aff else 0
-
-    cp.priv_ptr = priv_ptr
-    cp.priv_dim = np.asarray(priv_dim, dtype=np.int64)
-    cp.priv_rate = np.asarray(priv_rate, dtype=np.float64)
-    cp.priv_dur = np.asarray(priv_dur, dtype=np.float64)
-    cp.priv_adj = np.asarray(priv_adj, dtype=np.float64)
-    cp.priv_dem = np.asarray(priv_dem, dtype=np.float64)
-    cp.shr_ptr = shr_ptr
-    cp.shr_dim = np.asarray(shr_dim, dtype=np.int64)
-    cp.shr_work = np.asarray(shr_work, dtype=np.float64)
-    cp.alive0 = alive0
-    cp.affinity = affinity
-    cp.zeros = np.asarray(gp.zeros, dtype=np.uint8)
-    cp.created = np.asarray(
-        [c if c is not None else -1 for c in gp.created], dtype=np.int64
+    core_peak, l1_bw, l2_bw = key[:3]
+    eps = _EPS
+    n = len(arena)
+    f, b1, b2 = arena.flops, arena.bytes_l1, arena.bytes_l2
+    b3, bd = arena.bytes_l3, arena.bytes_dram
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate0 = arena.efficiency * core_peak
+        dur0 = f / rate0
+        adj0 = dur0 - eps / rate0
+        dur1 = b1 / l1_bw
+        adj1 = dur1 - (eps / l1_bw if l1_bw > 0.0 else 0.0)
+        dur2 = b2 / l2_bw
+        adj2 = dur2 - (eps / l2_bw if l2_bw > 0.0 else 0.0)
+    demand = np.stack((f > eps, b1 > eps, b2 > eps), axis=1)
+    # ``rate <= 0.0`` rather than ``not rate > 0.0``: a NaN rate seats.
+    no_rate = np.stack(
+        (rate0 <= 0.0, np.full(n, l1_bw <= 0.0), np.full(n, l2_bw <= 0.0)),
+        axis=1,
     )
-    cp.indeg0 = np.asarray(gp.indeg0, dtype=np.int64)
-    cp.seeds = np.asarray(gp.seeds, dtype=np.int64)
-    cp.total_entries = int(np.maximum(alive0, 0).sum())
+    bad = demand & no_rate
+    priv = demand & ~no_rate
+    shared = np.stack((b3 > eps, bd > eps), axis=1)
 
-    if isinstance(graph, TaskArena):
-        sptr, sidx = graph.successors_csr()
-        cp.succ_ptr = np.ascontiguousarray(sptr, dtype=np.int64)
-        cp.succ_idx = np.ascontiguousarray(sidx, dtype=np.int64)
-    else:
-        succ = graph._successors
-        counts = np.fromiter(
-            (len(s) for s in succ), dtype=np.int64, count=n
-        )
-        sptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=sptr[1:])
-        flat: list[int] = []
-        for s in succ:
-            flat.extend(s)
-        cp.succ_ptr = sptr
-        cp.succ_idx = np.asarray(flat, dtype=np.int64)
+    cp = _CompiledPlan()
+    cp.key, cp.n, cp.arena, cp.crit_prio = key, n, arena, None
+    (cp.priv_ptr, cp.priv_dim, cp.priv_rate, cp.priv_dur, cp.priv_adj,
+     cp.priv_dem) = _csr(
+        priv,
+        np.stack((rate0, np.full(n, l1_bw), np.full(n, l2_bw)), axis=1),
+        np.stack((dur0, dur1, dur2), axis=1),
+        np.stack((adj0, adj1, adj2), axis=1),
+        np.stack((f, b1, b2), axis=1),
+    )
+    cp.shr_ptr, shr_dims, cp.shr_work = _csr(shared, np.stack((b3, bd), axis=1))
+    cp.shr_dim = shr_dims + 3
+    cp.alive0 = np.where(
+        bad.any(axis=1),
+        -1 - np.argmax(bad, axis=1),
+        priv.sum(axis=1) + shared.sum(axis=1),
+    ).astype(np.int64)
+    has_creator = arena.created_by >= 0
+    cp.created = np.where(has_creator, arena.created_by, -1)
+    cp.any_created = bool(has_creator.any())
+    cp.affinity = (has_creator & ~arena.untied).astype(np.uint8)
+    cp.zeros = (
+        (f == 0.0) & (b1 == 0.0) & (b2 == 0.0) & (b3 == 0.0) & (bd == 0.0)
+    ).astype(np.uint8)
+    cp.indeg0 = np.ascontiguousarray(arena.dep_counts, dtype=np.int64)
+    cp.seeds = np.flatnonzero(cp.indeg0 == 0).astype(np.int64)
+    cp.total_entries = int(np.maximum(cp.alive0, 0).sum())
+    cp.succ_ptr, cp.succ_idx = arena.successors_csr()
     return cp
 
 
-def _bundle_for(sched: "Scheduler", graph: "TaskGraph", gp) -> _CompiledPlan:
-    """Fetch or build the cached flattened bundle for *graph*.
+def _arena_of(graph: "TaskGraph") -> TaskArena:
+    """*graph* as columns: itself when already an arena, else its
+    ``TaskArena.from_graph`` conversion, cached on the graph and
+    rebuilt when the graph has grown since."""
+    if isinstance(graph, TaskArena):
+        return graph
+    arena: TaskArena | None = getattr(graph, _ARENA_ATTR, None)
+    if arena is None or len(arena) != len(graph):
+        arena = TaskArena.from_graph(graph)
+        setattr(graph, _ARENA_ATTR, arena)
+    return arena
 
-    Valid while the machine key matches and the graph has not grown
-    (growth rebuilds — append-flattening buys nothing over a rebuild at
-    this already-amortized cost).  Cached alongside fastpath's plan; an
-    arena drops both from pickles (see ``TaskArena.__getstate__``).
+
+def _bundle_for(sched: "Scheduler", graph: "TaskGraph") -> _CompiledPlan:
+    """Fetch or build the cached bundle for *graph* on *sched*'s machine.
+
+    Valid while the machine key matches and the graph has not grown.
+    An arena drops the cached bundle from pickles (see
+    ``TaskArena.__getstate__``).
     """
+    m = sched.machine
+    key = (sched._core_peak, sched._l1_bw, sched._l2_bw, m.l3_bandwidth, m.dram_bandwidth)
     cp: _CompiledPlan | None = getattr(graph, _PLAN_ATTR, None)
-    if cp is not None and cp.key == gp.key and cp.n == len(gp.plans):
+    if cp is not None and cp.key == key and cp.n == len(graph):
         return cp
-    cp = _flatten_plans(gp, graph)
-    try:
-        setattr(graph, _PLAN_ATTR, cp)
-    except AttributeError:  # pragma: no cover - slotted graph subclass
-        pass
+    cp = _build_bundle(_arena_of(graph), key)
+    setattr(graph, _PLAN_ATTR, cp)
     return cp
 
 
@@ -516,22 +526,20 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     :class:`~repro.util.errors.SchedulingError` with the fast engine's
     exact messages and never fall back.
     """
-    from .fastpath import _ensure_crit_prio, _plans_for
-
     fn = _load_kernel()
-    graph.validate()
     n = len(graph)
     threads = sched.threads
-    gp = _plans_for(sched, graph)
-    cp = _bundle_for(sched, graph, gp)
-
-    prio_ptr = None
-    if sched.policy == "critical":
-        if cp.crit_prio is None:
-            cp.crit_prio = np.asarray(
-                _ensure_crit_prio(sched, graph, gp), dtype=np.float64
-            )
-        prio_ptr = cp.crit_prio.ctypes.data
+    with trace.span("schedule.plan"):
+        graph.validate()
+        cp = _bundle_for(sched, graph)
+        prio_ptr = None
+        if sched.policy == "critical":
+            # Longest path to any sink, cached on the bundle: the
+            # arena sweep the fast engine also uses for arenas.
+            if cp.crit_prio is None:
+                durs = cp.arena.uncontended_durations(*cp.key)
+                cp.crit_prio = cp.arena.critical_priorities(durs)
+            prio_ptr = cp.crit_prio.ctypes.data
 
     socket_arr = np.asarray(sched._socket_of, dtype=np.int64)
 
@@ -590,12 +598,14 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
         busy_cap=busy_cap,
     )
 
-    rc = fn(ctypes.byref(args))
+    with trace.span("schedule.sweep"):
+        rc = fn(ctypes.byref(args))
     if rc != _OK:
-        names = gp.names
         if rc == _ERR_ZERO_RATE:
+            arena = cp.arena
+            name = arena.names[int(arena.name_ids[args.err_a])]
             raise SchedulingError(
-                f"task {names[args.err_a]!r} has demand in dim {args.err_b} "
+                f"task {name!r} has demand in dim {args.err_b} "
                 f"but zero service rate"
             )
         if rc == _ERR_DEADLOCK:
@@ -617,9 +627,10 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     _CSWEEPS.add(ivc)
     # Hand the kernel's output arrays to Schedule untouched (sliced
     # copies so the over-provisioned capacity buffers are released):
-    # tuple lists and CoreTimelines materialize lazily, so a run that
-    # only reads stats never pays the ndarray->Python conversion,
-    # which profiles as ~3x the cost of the C sweep itself.
+    # records and CoreTimelines materialize lazily and the measurement
+    # reads the interval array's columns, so a study run never pays
+    # an ndarray->Python conversion (which profiles as ~3x the cost of
+    # the C sweep itself).
     b_core = busy_core[:bc].copy()
     b_start = busy_start[:bc].copy()
     b_end = busy_end[:bc].copy()
@@ -648,7 +659,7 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
             rec_core[:rc_count].copy(),
             rec_start[:rc_count].copy(),
             rec_end[:rc_count].copy(),
-            gp.names,
+            cp.arena.names_list,
         ),
         interval_array=iv_rows[:ivc].copy(),
         raw_busy=(b_core, b_start, b_end),

@@ -365,8 +365,8 @@ def _plans_for(sched: "Scheduler", graph: "TaskGraph") -> _GraphPlan:
 
 def _ensure_crit_prio(sched: "Scheduler", graph: "TaskGraph", gp: _GraphPlan):
     """Fill (and cache on *gp*) the ``critical``-policy priorities:
-    longest path to any sink.  Shared by the fast and compiled kernels
-    so both price the heap identically."""
+    longest path to any sink.  Arenas take the vectorized sweep the
+    compiled kernel uses too, so both price the heap identically."""
     priority = gp.crit_prio
     if priority is None:
         if isinstance(graph, TaskArena):
@@ -538,8 +538,7 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     shares_dirty = False
 
     records: list[TaskRecord] = []
-    # Raw interval rows (Schedule materializes ActivityInterval objects
-    # lazily; bulk consumers read the tuples directly).
+    # Raw interval rows, handed to Schedule as one (k, 8) array.
     intervals: list[tuple] = []
     records_append = records.append
     intervals_append = intervals.append
@@ -1098,7 +1097,7 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
         graph_name=graph.name,
         threads=threads,
         records=records,
-        raw_intervals=intervals,
+        interval_array=np.array(intervals, dtype=np.float64).reshape(-1, 8),
         timelines=timelines,
         stats=stats,
     )

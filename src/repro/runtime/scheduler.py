@@ -31,6 +31,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
+import numpy as np
+
 from ..machine.specs import MachineSpec
 from ..observability import trace
 from ..observability.metrics import counter
@@ -142,7 +144,8 @@ class TaskRecord:
         return self.end - self.start
 
 
-#: Field order of one raw interval row (see :attr:`Schedule.raw_intervals`).
+#: Column order of the ``(k, 8)`` interval array (see
+#: :attr:`Schedule.interval_array`).
 _INTERVAL_FIELDS = (
     "t_start",
     "t_end",
@@ -158,29 +161,26 @@ _INTERVAL_FIELDS = (
 class Schedule:
     """Result of scheduling one task graph on one machine.
 
-    Activity intervals exist in two interchangeable representations:
-    :attr:`intervals` (a list of :class:`ActivityInterval` objects —
-    the stable, ergonomic API) and :attr:`raw_intervals` (plain tuples
-    in :data:`_INTERVAL_FIELDS` order — what the fast engine emits and
-    what bulk consumers like trace coarsening read without paying a
-    million dataclass constructions).  Either may be passed at
-    construction; the other materializes lazily on first access.
+    Activity intervals are stored once, as :attr:`interval_array`: a
+    ``(k, 8)`` float64 array in :data:`_INTERVAL_FIELDS` column order.
+    The fast and compiled engines hand it over as built; the reference
+    engine (and any caller holding :class:`ActivityInterval` objects)
+    passes ``intervals`` and the array is built from them.  The
+    measurement pipeline reads the array's columns directly.
+    :attr:`intervals` (objects) and :attr:`raw_intervals` (tuples) are
+    derived lazily for callers that want them; no simulation path
+    reads either.
 
     Task records follow the same pattern: :attr:`records` (a list of
     :class:`TaskRecord` objects) or ``raw_records`` — the compiled
-    engine's ``(tid, core, start, end)`` output arrays plus the
-    tid-indexed name table — with the object form materialized lazily.
-    The measurement pipeline reads only intervals and stats, so a
-    study run never pays the per-task object construction at all.
-
-    The compiled engine goes one step further and hands over its raw
-    C-kernel output arrays untouched: ``interval_array`` (a ``(k, 8)``
-    float64 ndarray in :data:`_INTERVAL_FIELDS` column order) instead
-    of the tuple list, and ``raw_busy`` (``(core, start, end)`` arrays
-    of merged per-core busy intervals in global chronological order)
-    instead of built timelines.  Converting either to Python objects
+    engine's ``(tid, core, start, end)`` output arrays plus a zero-arg
+    callable returning the tid-indexed name table — with the object
+    form materialized lazily.  Likewise per-core busy spans: built
+    ``timelines`` or the compiled engine's ``raw_busy``
+    ``(core, start, end)`` arrays of merged busy intervals in global
+    chronological order.  Converting any of these to Python objects
     costs more than the C sweep itself, so a run that only reads
-    ``stats`` — every benchmark sweep — pays nothing.
+    ``stats`` and the interval array pays nothing for them.
     """
 
     __slots__ = (
@@ -205,23 +205,25 @@ class Schedule:
         timelines: list[CoreTimeline] | None = None,
         stats: RuntimeStats | None = None,
         intervals: list[ActivityInterval] | None = None,
-        raw_intervals: list[tuple] | None = None,
         raw_records: tuple | None = None,
-        interval_array=None,
+        interval_array: np.ndarray | None = None,
         raw_busy: tuple | None = None,
     ):
         if records is None and raw_records is None:
             raise SchedulingError(
                 "Schedule needs records or raw_records (or both)"
             )
-        if intervals is None and raw_intervals is None and interval_array is None:
-            raise SchedulingError(
-                "Schedule needs intervals, raw_intervals, or interval_array"
-            )
+        if intervals is None and interval_array is None:
+            raise SchedulingError("Schedule needs intervals or interval_array")
         if timelines is None and raw_busy is None:
             raise SchedulingError("Schedule needs timelines or raw_busy")
         if stats is None:
             raise SchedulingError("Schedule needs stats")
+        if interval_array is None:
+            interval_array = np.array(
+                [[getattr(iv, f) for f in _INTERVAL_FIELDS] for iv in intervals],
+                dtype=np.float64,
+            ).reshape(-1, 8)
         self.graph_name = graph_name
         self.threads = threads
         self.stats = stats
@@ -230,7 +232,7 @@ class Schedule:
         self._records = records
         self._raw_records = raw_records
         self._intervals = intervals
-        self._raw_intervals = raw_intervals
+        self._raw_intervals = None
         self._interval_array = interval_array
         self._record_index: dict[int, TaskRecord] | None = None
 
@@ -261,7 +263,8 @@ class Schedule:
         """Task records as objects (materialized lazily)."""
         records = self._records
         if records is None:
-            tids, cores, starts, ends, names = self._raw_records
+            tids, cores, starts, ends, names_of = self._raw_records
+            names = names_of()
             records = []
             append = records.append
             new = _new
@@ -280,37 +283,26 @@ class Schedule:
         return records
 
     @property
+    def interval_array(self) -> np.ndarray:
+        """Activity intervals as a ``(k, 8)`` float64 array, columns in
+        :data:`_INTERVAL_FIELDS` order (read-only by convention)."""
+        return self._interval_array
+
+    @property
     def intervals(self) -> list[ActivityInterval]:
         """Activity intervals as objects (materialized lazily)."""
         if self._intervals is None:
             self._intervals = [
-                ActivityInterval(*row) for row in self.raw_intervals
+                ActivityInterval(*row) for row in self._interval_array.tolist()
             ]
         return self._intervals
 
     @property
     def raw_intervals(self) -> list[tuple]:
-        """Activity intervals as plain ``_INTERVAL_FIELDS``-order
-        tuples (materialized lazily from the array or object form)."""
-        if self._raw_intervals is None and self._interval_array is not None:
-            self._raw_intervals = list(
-                map(tuple, self._interval_array.tolist())
-            )
-            self._interval_array = None
+        """Activity intervals as plain ``_INTERVAL_FIELDS``-order tuples
+        (derived lazily from :attr:`interval_array`)."""
         if self._raw_intervals is None:
-            self._raw_intervals = [
-                (
-                    iv.t_start,
-                    iv.t_end,
-                    iv.busy_cores,
-                    iv.flops,
-                    iv.bytes_l1,
-                    iv.bytes_l2,
-                    iv.bytes_l3,
-                    iv.bytes_dram,
-                )
-                for iv in self._intervals
-            ]
+            self._raw_intervals = list(map(tuple, self._interval_array.tolist()))
         return self._raw_intervals
 
     @property

@@ -23,7 +23,6 @@ from ..power.msr import MsrFile
 from ..power.planes import Plane
 from ..power.sampling import PowerSegment, PowerTrace
 from ..runtime.scheduler import (
-    ActivityInterval,
     Schedule,
     SchedulePolicy,
     Scheduler,
@@ -103,41 +102,44 @@ class Engine:
             return self._measure(schedule, label)
 
     def _measure(self, schedule: Schedule, label: str) -> RunMeasurement:
-        dvfs = self.machine.dvfs_factor
-        model = self.machine.energy
-
-        total = PlaneEnergy.zero()
-        flops = 0.0
-        bytes_dram = 0.0
-        segments: list[PowerSegment] = []
-
-        intervals = self._coarsen(schedule)
-        for iv in intervals:
-            activity = Activity(
-                dt=iv.duration,
-                busy_core_seconds=iv.busy_cores * iv.duration,
-                flops=iv.flops,
-                bytes_l1=iv.bytes_l1,
-                bytes_l2=iv.bytes_l2,
-                bytes_l3=iv.bytes_l3,
-                bytes_dram=iv.bytes_dram,
+        with obtrace.span("measure.coarsen"):
+            t_start, t_end, busy, flops, b1, b2, b3, bd = self._coarsen(schedule)
+        with obtrace.span("measure.energy"):
+            dt = t_end - t_start
+            activity = (dt, busy * dt, flops, b1, b2, b3, bd)
+            _require_nonnegative(activity)
+            package, pp0, dram = self.machine.energy.plane_energies(
+                *activity, self.machine.dvfs_factor
             )
-            energy = model.interval_energy(activity, dvfs)
-            total = total + energy
-            flops += iv.flops
-            bytes_dram += iv.bytes_dram
-            if iv.duration > 0:
-                segments.append(
-                    PowerSegment(
-                        iv.t_start,
-                        iv.t_end,
-                        {
-                            Plane.PACKAGE: energy.package / iv.duration,
-                            Plane.PP0: energy.pp0 / iv.duration,
-                            Plane.DRAM: energy.dram / iv.duration,
-                        },
-                    )
+            # Totals accumulate bucket by bucket in time order: the same
+            # sequential float additions as summing per-bucket
+            # PlaneEnergy objects.
+            total_pkg = total_pp0 = total_dram = 0.0
+            total_flops = total_bytes_dram = 0.0
+            for e_pkg, e_pp0, e_dram, f, d in zip(
+                package.tolist(), pp0.tolist(), dram.tolist(),
+                flops.tolist(), bd.tolist(),
+            ):
+                total_pkg += e_pkg
+                total_pp0 += e_pp0
+                total_dram += e_dram
+                total_flops += f
+                total_bytes_dram += d
+            total = PlaneEnergy(total_pkg, total_pp0, total_dram)
+            live = dt > 0
+            width = dt[live]
+            segments = [
+                PowerSegment(
+                    s, e, {Plane.PACKAGE: w_pkg, Plane.PP0: w_pp0, Plane.DRAM: w_dram}
                 )
+                for s, e, w_pkg, w_pp0, w_dram in zip(
+                    t_start[live].tolist(),
+                    t_end[live].tolist(),
+                    (package[live] / width).tolist(),
+                    (pp0[live] / width).tolist(),
+                    (dram[live] / width).tolist(),
+                )
+            ]
 
         if not segments:
             # Degenerate graph (all zero-cost tasks): represent it as an
@@ -158,8 +160,8 @@ class Engine:
             elapsed_s=schedule.makespan,
             energy=total,
             trace=trace,
-            flops=flops,
-            bytes_dram=bytes_dram,
+            flops=total_flops,
+            bytes_dram=total_bytes_dram,
             stats=schedule.stats,
         )
         measurement.check_invariants(self.machine)
@@ -217,11 +219,12 @@ class Engine:
 
     # ------------------------------------------------------------------
 
-    def _coarsen(self, schedule: Schedule) -> list[ActivityInterval]:
+    def _coarsen(self, schedule: Schedule) -> tuple[np.ndarray, ...]:
         """Merge adjacent intervals into at most ``max_trace_segments``
         buckets, preserving every activity integral exactly.
 
-        Consumes the schedule's *raw* interval rows and groups them
+        Returns one column per :data:`~repro.runtime.scheduler._INTERVAL_FIELDS`
+        entry.  Reads the schedule's interval array and groups it
         vectorially: each bucket is closed by the first interval whose
         end reaches ``bucket_start + bucket_dt`` (greedy accumulation,
         same grouping as a scalar pass), located with a binary search
@@ -230,13 +233,12 @@ class Engine:
         interval Strassen schedule coarsens in milliseconds instead of
         a Python-loop second.
         """
-        rows = schedule.raw_intervals
-        n = len(rows)
+        cols = schedule.interval_array
+        n = len(cols)
         if n <= self.max_trace_segments:
-            return schedule.intervals
+            return tuple(cols[:, j] for j in range(8))
         makespan = schedule.makespan
         bucket_dt = makespan / self.max_trace_segments
-        cols = np.asarray(rows)
         t_start = cols[:, 0]
         t_end = cols[:, 1]
         busy_secs = cols[:, 2] * (t_end - t_start)  # busy-core-seconds
@@ -274,16 +276,18 @@ class Engine:
         avg_busy = np.divide(
             sums[0], duration, out=np.zeros_like(duration), where=duration > 0
         )
-        return [
-            ActivityInterval(
-                t_start=float(b_start[k]),
-                t_end=float(b_end[k]),
-                busy_cores=float(avg_busy[k]),
-                flops=float(sums[1][k]),
-                bytes_l1=float(sums[2][k]),
-                bytes_l2=float(sums[3][k]),
-                bytes_l3=float(sums[4][k]),
-                bytes_dram=float(sums[5][k]),
-            )
-            for k in range(len(idx))
-        ]
+        return (b_start, b_end, avg_busy, *sums[1:])
+
+
+def _require_nonnegative(activity: tuple[np.ndarray, ...]) -> None:
+    """:class:`Activity`'s non-negativity validation over whole columns
+    (``dt``, busy-core-seconds, flops, L1/L2/L3/DRAM bytes): the first
+    offending interval is rebuilt as an :class:`Activity`, which raises
+    the exact :class:`~repro.util.errors.ValidationError` the
+    per-interval construction would have."""
+    bad = activity[0] < 0
+    for col in activity[1:]:
+        bad |= col < 0
+    if bad.any():
+        row = int(np.argmax(bad))
+        Activity(*(float(col[row]) for col in activity))

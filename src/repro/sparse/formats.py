@@ -235,16 +235,14 @@ class CSRMatrix(SparseMatrix):
         x = self._check_x(x)
         lo, hi = self.indptr[r0], self.indptr[r1]
         products = self.data[lo:hi] * x[self.indices[lo:hi]]
-        starts = (self.indptr[r0:r1] - lo).astype(np.int64)
-        if len(products) == 0:
-            y[r0:r1] = 0.0
-            return
-        # reduceat mis-handles empty rows (repeats the next segment's
-        # first element); mask them out explicitly.
-        sums = np.add.reduceat(products, np.minimum(starts, len(products) - 1))
-        empty = np.diff(np.concatenate([starts, [hi - lo]])) == 0
-        sums[empty] = 0.0
-        y[r0:r1] = sums
+        ptr = self.indptr[r0 : r1 + 1] - lo
+        # reduceat cannot express an empty segment, so reduce over the
+        # non-empty rows only: their starts are strictly increasing and
+        # each segment runs to the next non-empty row's start.
+        filled = ptr[1:] > ptr[:-1]
+        y[r0:r1] = 0.0
+        if filled.any():
+            y[r0:r1][filled] = np.add.reduceat(products, ptr[:-1][filled])
 
     def index_bytes(self) -> int:
         return self.nnz * _IDX_BYTES + len(self.indptr) * _IDX_BYTES
@@ -445,10 +443,11 @@ class BSRMatrix(SparseMatrix):
         partial = np.einsum(
             "nij,nj->ni", self.blocks[lo:hi], xb[self.indices[lo:hi]]
         )
-        starts = (self.indptr[br0:br1] - lo).astype(np.int64)
-        sums = np.add.reduceat(partial, np.minimum(starts, len(partial) - 1), axis=0)
-        empty = np.diff(np.concatenate([starts, [hi - lo]])) == 0
-        sums[empty] = 0.0
+        # Non-empty block rows only, as in CSRMatrix.spmv_range.
+        ptr = self.indptr[br0 : br1 + 1] - lo
+        filled = ptr[1:] > ptr[:-1]
+        sums = np.zeros((br1 - br0, self.b), dtype=partial.dtype)
+        sums[filled] = np.add.reduceat(partial, ptr[:-1][filled], axis=0)
         y[r0:r1] = sums.reshape(-1)
 
     def index_bytes(self) -> int:

@@ -279,9 +279,9 @@ def _check_schedule_feasibility(
             )
         )
 
+    bounds = schedule.interval_array[:, :2].tolist()
     prev_end = 0.0
-    for i, row in enumerate(schedule.raw_intervals):
-        t_start, t_end = row[0], row[1]
+    for i, (t_start, t_end) in enumerate(bounds):
         if t_end < t_start:
             out.append(
                 Violation(
@@ -297,7 +297,7 @@ def _check_schedule_feasibility(
                 )
             )
         prev_end = max(prev_end, t_end)
-    if schedule.raw_intervals and prev_end > makespan * (1 + _REL) + 1e-12:
+    if bounds and prev_end > makespan * (1 + _REL) + 1e-12:
         out.append(
             Violation(
                 "schedule.intervals",

@@ -53,6 +53,24 @@ def test_spmv_range_covers_rows(name, conv):
 
 
 @pytest.mark.parametrize("name,conv", ALL_FORMATS)
+@pytest.mark.parametrize(
+    "empty_rows", [[0, 5], [10, 11], [8, 9, 10, 11], [0, 1, 2, 3, 10, 11]]
+)
+def test_spmv_with_empty_rows(name, conv, empty_rows):
+    """Empty rows (and BSR block rows) anywhere, including trailing ones
+    after a non-empty row, leave every other row's sum intact."""
+    d = dense_fixture(seed=9)
+    d[empty_rows] = 0.0
+    m = conv(d)
+    x = np.random.default_rng(4).uniform(-1, 1, size=d.shape[1])
+    assert np.allclose(m.spmv(x), d @ x, atol=1e-12)
+    y = np.full(d.shape[0], np.nan)
+    m.spmv_range(0, 8, x, y)
+    m.spmv_range(8, 12, x, y)
+    assert np.allclose(y, d @ x, atol=1e-12)
+
+
+@pytest.mark.parametrize("name,conv", ALL_FORMATS)
 def test_to_coo_roundtrip(name, conv):
     d = dense_fixture(seed=7)
     m = conv(d)

@@ -13,14 +13,14 @@ Three phases cover the pipeline end to end:
     ``--engine`` and ``--graph {arena,object}`` to profile either
     kernel on either graph shape.
 ``--phase study``
-    The full execution matrix through :class:`EnergyPerformanceStudy`
-    (lowering + simulation + measurement), the closest thing to a
-    production workload.
+    The full cost-only execution matrix through ``repro.api.Study``
+    (lowering + simulation + measurement) on ``--engine``, the closest
+    thing to a production workload.
 
 Run:
   python tools/profile.py --phase sim [--n 2048] [--threads 4] [--top 15]
   python tools/profile.py --phase build --alg caps --n 4096
-  python tools/profile.py --phase study --sizes 512 1024
+  python tools/profile.py --phase study --sizes 512 1024 --engine compiled
 """
 
 from __future__ import annotations
@@ -85,6 +85,16 @@ def phase_build(args) -> None:
         print(f"   {len(arena)} tasks, {arena.nbytes / 2**20:.2f} MiB resident")
 
 
+def _warm_engine(engine: str) -> None:
+    """JIT-compile the compiled kernel outside the profiler so cc's
+    wall time does not drown the run we are actually measuring."""
+    if engine == "compiled":
+        from repro.runtime.compiledpath import warm_compile
+
+        if not warm_compile():
+            sys.exit("compiled engine unavailable (see `repro engines`)")
+
+
 def phase_sim(args) -> None:
     machine = machine_from_args(args)
     alg = make_algorithm(args.alg, machine)
@@ -94,13 +104,7 @@ def phase_sim(args) -> None:
             sys.exit(f"{args.alg} has no build_arena lowering")
     else:
         build = alg.build(args.n, args.threads, execute=False)
-    if args.engine == "compiled":
-        # JIT-compile outside the profiler so cc's wall time does not
-        # drown the sweep we are actually measuring.
-        from repro.runtime.compiledpath import warm_compile
-
-        if not warm_compile():
-            sys.exit("compiled engine unavailable (see `repro engines`)")
+    _warm_engine(args.engine)
     engine = Engine(machine, engine=args.engine)
     print(
         f"== {args.engine} kernel on {args.graph} graph: {args.alg} "
@@ -115,14 +119,17 @@ def phase_sim(args) -> None:
 
 
 def phase_study(args) -> None:
-    from repro.core.study import EnergyPerformanceStudy, StudyConfig
+    from repro.api import RunOptions, Study
 
-    machine = machine_from_args(args)
-    cfg = StudyConfig(sizes=tuple(args.sizes), execute_max_n=0)
-    study = EnergyPerformanceStudy(machine, config=cfg)
-    print(f"== study matrix: sizes={args.sizes} (cost-only) ==")
-    result = _profiled(lambda: study.run(), args.top, args.sort)
-    print(f"   {len(result.runs)} cells")
+    study = Study(
+        machine_from_args(args), sizes=args.sizes, execute_max_n=0, verify=False
+    )
+    _warm_engine(args.engine)
+    print(f"== study matrix on {args.engine}: sizes={args.sizes} (cost-only) ==")
+    run = _profiled(
+        lambda: study.run(RunOptions(engine=args.engine)), args.top, args.sort
+    )
+    print(f"   {len(run.result.runs)} cells")
 
 
 def main() -> None:
