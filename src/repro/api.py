@@ -15,8 +15,9 @@ Design rules (CONTRIBUTING.md "Deprecation policy"):
 * **Execution** is policy: :class:`RunOptions` collects the per-run
   choices (event kernel, process fan-out, tracing, execution bound)
   that older code passed piecemeal to ``EnergyPerformanceStudy``.
-* The older entry points keep working behind ``DeprecationWarning``
-  shims; this module never calls a deprecated path itself.
+* Superseded spellings follow the deprecation policy (a warned shim
+  for one minor release, then removal); this module never calls a
+  deprecated path itself.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from ..observability.metrics import registry as metrics_registry
 from ..power.planes import Plane
 from ..sim.engine import Engine
 from ..sim.measurement import RunMeasurement
-from ..util.deprecation import warn_deprecated
 from ..util.errors import ConfigurationError, StudyCellError, ValidationError
 from ..util.validation import require_nonempty, require_positive
 from .ep import EPConvention, EPMeasurement
@@ -196,12 +195,6 @@ class StudyResult:
         by_threads = self.avg_power_by_threads(alg)
         return sum(by_threads.values()) / len(by_threads)
 
-    def avg_power(self, alg: str) -> float:
-        """Deprecated alias of :meth:`avg_power_w` (kept so existing
-        callers don't break; see CONTRIBUTING.md's deprecation policy)."""
-        warn_deprecated("StudyResult.avg_power", "StudyResult.avg_power_w")
-        return self.avg_power_w(alg)
-
     def power_curve(self, alg: str, n: int) -> list[tuple[int, float]]:
         """Figs. 4-6: watts vs threads for one size."""
         return [(p, self.power_w(alg, n, p)) for p in self.config.threads]
@@ -258,18 +251,9 @@ class EnergyPerformanceStudy:
         machine: MachineSpec,
         algorithms: Sequence[MatmulAlgorithm] | None = None,
         config: StudyConfig = StudyConfig(),
-        engine: Engine | None = None,
         *,
         _engine: Engine | None = None,
     ):
-        if engine is not None:
-            # Kept working behind a shim: the stable way to pick an
-            # event kernel is repro.api.RunOptions(engine="fast").
-            warn_deprecated(
-                "EnergyPerformanceStudy(engine=...)",
-                "repro.api.Study.run(RunOptions(engine=...))",
-            )
-        engine = engine if engine is not None else _engine
         self.machine = machine
         self.algorithms = list(algorithms) if algorithms is not None else paper_algorithms(machine)
         if not self.algorithms:
@@ -282,35 +266,15 @@ class EnergyPerformanceStudy:
                 f"baseline {config.baseline!r} is not among {names}"
             )
         self.config = config
-        self.engine = engine or Engine(machine)
+        self.engine = _engine or Engine(machine)
 
-    def run(self, parallel: int | None = None) -> StudyResult:
-        """Execute the full matrix.
+    def run(self) -> StudyResult:
+        """Execute the full matrix serially, in the paper's table order.
 
-        Parameters
-        ----------
-        parallel:
-            ``None``/``0``/``1`` runs the cells serially (in the
-            paper's table order).  ``N > 1`` fans the independent
-            (algorithm, size, threads) cells across a process pool of
-            ``N`` workers.  The result is deterministic and identical
-            to the serial run: cells are merged back in the serial
-            iteration order regardless of completion order, and worker
-            engines run without an MSR — the parent deposits every
-            cell's plane energies into its own MSR afterwards, again in
-            serial order, so a PAPI/RAPL reader wrapped around
-            :meth:`run` observes the same counter stream either way.
-
-        .. deprecated::
-            ``run(parallel=N)`` is kept behind a shim; the stable entry
-            point is ``repro.api.Study.run(RunOptions(parallel=N))``.
+        Parallel, checkpointed and traced runs go through
+        ``repro.api.Study.run(RunOptions(...))``.
         """
-        if parallel is not None:
-            warn_deprecated(
-                "EnergyPerformanceStudy.run(parallel=...)",
-                "repro.api.Study.run(RunOptions(parallel=...))",
-            )
-        return self._run(parallel)
+        return self._run()
 
     def _run(
         self,
@@ -320,10 +284,21 @@ class EnergyPerformanceStudy:
         checkpoint: "str | Path | None" = None,
         resume: "str | Path | None" = None,
     ) -> StudyResult:
-        """Internal entry point (no deprecation shim; used by
-        :mod:`repro.api`).  Instrumented: the whole matrix runs under a
-        ``study.run`` span, each cell under a ``cell`` span (serial
-        in-process; parallel via deterministic worker-trace merge).
+        """Internal entry point (used by :mod:`repro.api`).
+        Instrumented: the whole matrix runs under a ``study.run`` span,
+        each cell under a ``cell`` span (serial in-process; parallel via
+        deterministic worker-trace merge).
+
+        *parallel* ``None``/``0``/``1`` runs the cells serially (in the
+        paper's table order); ``N > 1`` fans the independent
+        (algorithm, size, threads) cells across a process pool of ``N``
+        workers.  The result is identical to the serial run: cells are
+        merged back in the serial iteration order regardless of
+        completion order, and worker engines run without an MSR — the
+        parent deposits every cell's plane energies into its own MSR
+        afterwards, again in serial order, so a PAPI/RAPL reader
+        wrapped around the run observes the same counter stream either
+        way.
 
         *transport* picks how parallel runs ship pre-lowered arenas to
         workers (see :data:`TRANSPORTS`; ``None`` = env override or

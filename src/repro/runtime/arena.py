@@ -31,11 +31,16 @@ Three layers live here:
   Stamping a template into a builder is pure array arithmetic
   (:func:`_stamp`): offset the local ids by the instantiation base,
   substitute the sentinels, fix up the per-row dependency counts.
-* conversion — ``TaskArena.from_graph`` / ``TaskArena.to_graph`` (and
-  the ``TaskGraph.to_arena()`` / ``from_arena()`` conveniences) map
+* conversion — ``TaskArena.from_graph`` / ``TaskArena.to_graph`` map
   between the object and columnar worlds; ``to_graph`` is what the
   reference event kernel consumes when handed an arena, keeping the
   object path alive as the differential oracle.
+
+The arena is the one input the cost-driven event kernels price: the
+``fast`` and ``compiled`` engines both seat tasks from the plan
+:mod:`repro.runtime.seatplan` builds from these columns, and an object
+graph reaches them through its cached ``from_graph`` conversion.  The
+plans each engine caches on an arena are named by :data:`PLAN_ATTRS`.
 
 Cost-only studies build arenas (no closures, no ``Task`` churn, cheap
 to pickle across study workers); ``execute=True`` builds keep the
@@ -73,6 +78,13 @@ EXT_DEP = -1
 EXT_CREATOR = -2
 #: ``created_by`` value for "no creator" (``Task.created_by is None``).
 NO_CREATOR = -1
+
+#: Attributes under which the event engines cache their per-machine seat
+#: plans on a graph or arena (see :mod:`repro.runtime.seatplan`).  They
+#: are derived state: arena pickles and ``shm.detach_arena`` drop them.
+FAST_PLAN_ATTR = "_fastpath_plan"
+COMPILED_PLAN_ATTR = "_compiledpath_plan"
+PLAN_ATTRS = (FAST_PLAN_ATTR, COMPILED_PLAN_ATTR)
 
 #: Cost columns, in :class:`TaskCost` field order.
 _COST_FIELDS = (
@@ -174,8 +186,8 @@ class TaskArena:
     """A task graph as structure-of-arrays columns + CSR dependencies.
 
     Immutable by convention: every consumer treats the arrays as
-    read-only (the fast engine caches its seat plan on the instance the
-    same way it does on a ``TaskGraph``).  Derived structures
+    read-only (the event engines cache their seat plans on the instance
+    the same way they do on a ``TaskGraph``).  Derived structures
     (successor CSR, level order, resolved name lists) are cached under
     ``_c_*`` attributes and dropped on pickling.
     """
@@ -615,7 +627,7 @@ class TaskArena:
             k: v
             for k, v in self.__dict__.items()
             if not k.startswith("_c_")
-            and k not in ("_fastpath_plan", "_compiledpath_plan", "_shm")
+            and k not in (*PLAN_ATTRS, "_shm")
         }
         return state
 

@@ -4,12 +4,11 @@ The third interchangeable engine: the incremental event sweep of
 :mod:`repro.runtime.fastpath` transcribed to C (source embedded in
 :mod:`repro.runtime._sweep_src`), compiled once per process with the
 system C compiler and driven through :mod:`ctypes`.  The hot loop
-touches only flat numeric buffers — the arena's columns are lowered
-once per ``(graph, machine)`` by column arithmetic into a
-:class:`_CompiledPlan` of contiguous numpy arrays (CSR seat plans,
-successor CSR, per-task flags) cached on the graph (an object graph
-is columnized first), and the kernel writes records, interval rows
-and busy spans straight into preallocated output arrays.  No Python
+touches only flat numeric buffers — the shared
+:class:`~repro.runtime.seatplan.SeatPlan` of contiguous numpy arrays
+(CSR seat plans, successor CSR, per-task flags), cached on the graph
+per machine, and the kernel writes records, interval rows and busy
+spans straight into preallocated output arrays.  No Python
 objects, dicts, or per-event allocation anywhere in the sweep.
 
 Numerics contract: the C kernel evaluates the same IEEE-754 double
@@ -56,8 +55,9 @@ from ..observability import trace
 from ..observability.metrics import counter
 from ..util.errors import ConfigurationError, SchedulingError
 from ._sweep_src import ABI_VERSION, SWEEP_SOURCE
-from .arena import TaskArena
-from .scheduler import _EPS, Schedule
+from .arena import COMPILED_PLAN_ATTR
+from .scheduler import Schedule
+from .seatplan import plan_for
 from .stats import RuntimeStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,13 +86,6 @@ _CSWEEPS = counter(
     "engine.compiled_sweeps",
     description="contention intervals swept by the compiled event kernel",
 )
-
-#: Attribute under which the plan bundle is cached on the graph/arena
-#: (sibling of fastpath's ``_fastpath_plan``; dropped from arena
-#: pickles the same way).
-_PLAN_ATTR = "_compiledpath_plan"
-#: Attribute under which an object graph caches its arena conversion.
-_ARENA_ATTR = "_compiledpath_arena"
 
 _ENV_TOOLCHAIN = "REPRO_COMPILED_TOOLCHAIN"
 _ENV_CACHE = "REPRO_JIT_CACHE"
@@ -380,139 +373,6 @@ _POLICY_CODE = {"fifo": 0, "lifo": 1, "critical": 2, "steal": 3}
 
 
 # ---------------------------------------------------------------------------
-# plan bundle
-
-
-class _CompiledPlan:
-    """Everything the C kernel reads for one ``(graph, machine)``, as
-    contiguous arrays: the private-seat CSR over ``(dim, rate, dur,
-    adj_dur, demand)`` entries, the shared-seat CSR over ``(dim, work)``
-    entries, per-task flags, the successor CSR and the source tids."""
-
-    __slots__ = (
-        "key",            # (core_peak, l1_bw, l2_bw, l3_bw, dram_bw)
-        "n",              # task count the bundle was built for
-        "arena",          # the columns it was built from (names, priorities)
-        "priv_ptr", "priv_dim", "priv_rate", "priv_dur", "priv_adj",
-        "priv_dem",
-        "shr_ptr", "shr_dim", "shr_work",
-        "alive0", "affinity", "zeros", "created", "indeg0",
-        "succ_ptr", "succ_idx",
-        "seeds",
-        "any_created",
-        "total_entries",  # finite seat entries; bounds the interval count
-        "crit_prio",      # float64 priorities or None (lazy)
-    )
-
-
-def _csr(valid: np.ndarray, *columns: np.ndarray):
-    """Row-major CSR of the ``True`` cells of the ``(n, k)`` mask
-    *valid*: ``(indptr, dims, *values)``, entries of each row in column
-    order."""
-    ptr = np.zeros(len(valid) + 1, dtype=np.int64)
-    np.cumsum(valid.sum(axis=1), out=ptr[1:])
-    dims = np.nonzero(valid)[1].astype(np.int64)
-    return (ptr, dims, *(c[valid] for c in columns))
-
-
-def _build_bundle(arena: TaskArena, key: tuple) -> _CompiledPlan:
-    """Lower *arena*'s columns to the kernel's seat plans with numpy.
-
-    Per task and in dimension order: a private entry for each of
-    flops/L1/L2 with demand above EPS and a positive service rate, with
-    ``rate``, ``dur = d/rate`` and ``adj = dur - EPS/rate``; a shared
-    entry for L3/DRAM demand above EPS.  ``alive0`` counts the entries,
-    or is ``-1 - dim`` for the first dimension with demand but no
-    positive rate (the kernel raises on dispatch).  Every float is the
-    elementwise expression the fast engine's scalar plan builder
-    evaluates, in the same operand order, so the plans are
-    bit-identical to the fast engine's.
-    """
-    core_peak, l1_bw, l2_bw = key[:3]
-    eps = _EPS
-    n = len(arena)
-    f, b1, b2 = arena.flops, arena.bytes_l1, arena.bytes_l2
-    b3, bd = arena.bytes_l3, arena.bytes_dram
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate0 = arena.efficiency * core_peak
-        dur0 = f / rate0
-        adj0 = dur0 - eps / rate0
-        dur1 = b1 / l1_bw
-        adj1 = dur1 - (eps / l1_bw if l1_bw > 0.0 else 0.0)
-        dur2 = b2 / l2_bw
-        adj2 = dur2 - (eps / l2_bw if l2_bw > 0.0 else 0.0)
-    demand = np.stack((f > eps, b1 > eps, b2 > eps), axis=1)
-    # ``rate <= 0.0`` rather than ``not rate > 0.0``: a NaN rate seats.
-    no_rate = np.stack(
-        (rate0 <= 0.0, np.full(n, l1_bw <= 0.0), np.full(n, l2_bw <= 0.0)),
-        axis=1,
-    )
-    bad = demand & no_rate
-    priv = demand & ~no_rate
-    shared = np.stack((b3 > eps, bd > eps), axis=1)
-
-    cp = _CompiledPlan()
-    cp.key, cp.n, cp.arena, cp.crit_prio = key, n, arena, None
-    (cp.priv_ptr, cp.priv_dim, cp.priv_rate, cp.priv_dur, cp.priv_adj,
-     cp.priv_dem) = _csr(
-        priv,
-        np.stack((rate0, np.full(n, l1_bw), np.full(n, l2_bw)), axis=1),
-        np.stack((dur0, dur1, dur2), axis=1),
-        np.stack((adj0, adj1, adj2), axis=1),
-        np.stack((f, b1, b2), axis=1),
-    )
-    cp.shr_ptr, shr_dims, cp.shr_work = _csr(shared, np.stack((b3, bd), axis=1))
-    cp.shr_dim = shr_dims + 3
-    cp.alive0 = np.where(
-        bad.any(axis=1),
-        -1 - np.argmax(bad, axis=1),
-        priv.sum(axis=1) + shared.sum(axis=1),
-    ).astype(np.int64)
-    has_creator = arena.created_by >= 0
-    cp.created = np.where(has_creator, arena.created_by, -1)
-    cp.any_created = bool(has_creator.any())
-    cp.affinity = (has_creator & ~arena.untied).astype(np.uint8)
-    cp.zeros = (
-        (f == 0.0) & (b1 == 0.0) & (b2 == 0.0) & (b3 == 0.0) & (bd == 0.0)
-    ).astype(np.uint8)
-    cp.indeg0 = np.ascontiguousarray(arena.dep_counts, dtype=np.int64)
-    cp.seeds = np.flatnonzero(cp.indeg0 == 0).astype(np.int64)
-    cp.total_entries = int(np.maximum(cp.alive0, 0).sum())
-    cp.succ_ptr, cp.succ_idx = arena.successors_csr()
-    return cp
-
-
-def _arena_of(graph: "TaskGraph") -> TaskArena:
-    """*graph* as columns: itself when already an arena, else its
-    ``TaskArena.from_graph`` conversion, cached on the graph and
-    rebuilt when the graph has grown since."""
-    if isinstance(graph, TaskArena):
-        return graph
-    arena: TaskArena | None = getattr(graph, _ARENA_ATTR, None)
-    if arena is None or len(arena) != len(graph):
-        arena = TaskArena.from_graph(graph)
-        setattr(graph, _ARENA_ATTR, arena)
-    return arena
-
-
-def _bundle_for(sched: "Scheduler", graph: "TaskGraph") -> _CompiledPlan:
-    """Fetch or build the cached bundle for *graph* on *sched*'s machine.
-
-    Valid while the machine key matches and the graph has not grown.
-    An arena drops the cached bundle from pickles (see
-    ``TaskArena.__getstate__``).
-    """
-    m = sched.machine
-    key = (sched._core_peak, sched._l1_bw, sched._l2_bw, m.l3_bandwidth, m.dram_bandwidth)
-    cp: _CompiledPlan | None = getattr(graph, _PLAN_ATTR, None)
-    if cp is not None and cp.key == key and cp.n == len(graph):
-        return cp
-    cp = _build_bundle(_arena_of(graph), key)
-    setattr(graph, _PLAN_ATTR, cp)
-    return cp
-
-
-# ---------------------------------------------------------------------------
 # run
 
 
@@ -531,11 +391,12 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     threads = sched.threads
     with trace.span("schedule.plan"):
         graph.validate()
-        cp = _bundle_for(sched, graph)
+        # Kept whole on the graph: the kernel reads its arrays as-is.
+        cp = plan_for(sched, graph, COMPILED_PLAN_ATTR)
         prio_ptr = None
         if sched.policy == "critical":
             # Longest path to any sink, cached on the bundle: the
-            # arena sweep the fast engine also uses for arenas.
+            # arena sweep the fast engine also uses.
             if cp.crit_prio is None:
                 durs = cp.arena.uncontended_durations(*cp.key)
                 cp.crit_prio = cp.arena.critical_priorities(durs)

@@ -28,14 +28,17 @@ event kernels:
     ``running`` dict — at most P entries, cheaper than maintaining
     membership sets per dispatch/exhaust).
   - a per-``(graph, machine)`` **seat plan** is lazily cached on the
-    graph (:data:`_PLAN_ATTR`): for every task, the nonzero private
-    dimensions with their precomputed ``(rate, d/rate, d/rate -
-    EPS/rate)`` and the nonzero shared dimensions with their work.
+    graph (:data:`~repro.runtime.arena.FAST_PLAN_ATTR`): for every
+    task, the nonzero private dimensions with their precomputed
+    ``(rate, d/rate, d/rate - EPS/rate)`` and the nonzero shared
+    dimensions with their work.
     Dispatch then seats a task with a couple of adds and stores
     instead of re-deriving rates from ``TaskCost`` attributes on
-    every run.  Task lists are append-only and tasks immutable, so a
-    plan never goes stale; it is extended when the graph has grown
-    and rebuilt when the machine constants differ.
+    every run.  The plan comes from the builder the compiled engine
+    uses too (:func:`repro.runtime.seatplan.build_seat_plan`, over
+    the arena or an object graph's cached arena conversion), packed
+    into per-task tuples; only the packed form is kept.  It is
+    rebuilt when the graph has grown or the machine constants differ.
 
   The ``texp_adj`` store is a numpy array when ``P*5`` is large
   (vectorized ``argmin`` + compare) and a plain Python list of floats
@@ -74,8 +77,9 @@ import numpy as np
 
 from ..observability.metrics import counter
 from ..util.errors import SchedulingError
-from .arena import TaskArena
+from .arena import FAST_PLAN_ATTR, TaskArena
 from .scheduler import Schedule, TaskRecord, _EPS
+from .seatplan import SeatPlan, arena_of, plan_for
 from .stats import RuntimeStats
 from .timeline import CoreTimeline
 
@@ -96,300 +100,71 @@ _INF = float("inf")
 #: Entry count (threads * 5) above which the numpy event step beats the
 #: pure-Python one.  Below it, per-call numpy dispatch overhead dominates.
 _NUMPY_THRESHOLD = 96
-#: Attribute under which the per-(graph, machine) seat plan is cached.
-_PLAN_ATTR = "_fastpath_plan"
 
 _new = object.__new__
 
-#: Seat plan of one task:
-#: ``(private, shared, alive0, affinity)`` where *private* is a tuple
-#: of ``(dim, rate, dur, adj_dur, d)`` for nonzero private dims
-#: (``dur = d/rate``, ``adj_dur = dur - EPS/rate``), *shared* a tuple
-#: of ``(dim, work)`` for nonzero L3/DRAM demands, and *affinity* True
-#: when the task is tied AND has a creator (the reference's exact
-#: creator-affinity gate).  *alive0* packs the entry count with the
-#: rare cases so the dispatch hot path branches once: ``> 0`` is the
-#: live entry count, ``0`` means all demands sub-EPS (finish at next
-#: event), ``< 0`` means dim ``-1 - alive0`` has demand but a
-#: non-positive service rate (raise lazily at dispatch, matching the
-#: reference).
 
+class _FastPlan:
+    """A :class:`~repro.runtime.seatplan.SeatPlan` packed into the plain
+    Python lists the event loop indexes (a list read is far cheaper
+    than numpy scalar item access in the sweep).
 
-class _GraphPlan:
-    """Cached per-(graph, machine) lowering of task costs to seat plans.
-
-    Task lists are append-only and tasks immutable, so everything here
-    stays valid until the graph grows (handled by extending) or the
-    machine constants change (handled by rebuilding).  ``crit_prio``
-    is filled lazily on the first ``critical``-policy run and
-    invalidated by growth (priorities are a whole-graph property).
+    ``plans[tid]`` is ``(private, shared, alive0, affinity)``: *private*
+    a tuple of ``(dim, rate, dur, adj_dur, d)`` seat entries, *shared*
+    a tuple of ``(dim, work)`` entries, and *alive0*/*affinity* as in
+    :func:`~repro.runtime.seatplan.build_seat_plan`.  ``crit_prio`` is
+    filled lazily on the first ``critical``-policy run.
     """
 
     __slots__ = (
         "key",          # (core_peak, l1_bw, l2_bw, l3_bw, dram_bw)
-        "plans",        # list of per-task seat plans (see below)
+        "n",            # task count the plan was built for
+        "plans",        # list of per-task seat plans (see above)
         "zeros",        # list[bool]: task cost exactly zero (is_zero)
         "seeds",        # tids with no dependencies, in task order
         "indeg0",       # initial indegree per task (copied per run)
-        "names",        # per-task name strings (tid-indexed)
-        "created",      # per-task creator tid or None (tid-indexed)
-        "computes",     # per-task closures, or None for arena graphs
         "any_created",  # any task has a creator (affinity can fire)
         "zero_seed",    # any source is zero-cost (cascades interleave)
         "crit_prio",    # critical-policy priorities or None (lazy)
     )
 
-    def __init__(self, key):
-        self.key = key
-        self.plans: list = []
-        self.zeros: list = []
-        self.seeds: list = []
-        self.indeg0: list = []
-        self.names: list = []
-        self.created: list = []
-        self.computes: list | None = []
-        self.any_created = False
-        self.zero_seed = False
-        self.crit_prio: list | None = None
 
-
-def _build_plans(
-    tasks,
-    lo: int,
-    gp: _GraphPlan,
-    core_peak: float,
-    l1_bw: float,
-    l2_bw: float,
-) -> None:
-    """Append seat plans (and zero flags, source tids, indegrees) for
-    ``tasks[lo:]`` to *gp*."""
-    eps = _EPS
-    plans_append = gp.plans.append
-    zeros_append = gp.zeros.append
-    seeds_append = gp.seeds.append
-    indeg_append = gp.indeg0.append
-    names_append = gp.names.append
-    created_append = gp.created.append
-    computes_append = gp.computes.append
-    any_created = gp.any_created
-    zero_seed = gp.zero_seed
-    # ``eps / bw`` is loop-invariant for the fixed-bandwidth dims; the
-    # flops dim keeps ``eps / rate`` inline because the rate varies with
-    # per-task efficiency.  ``dur`` is hoisted so each demand divides
-    # once — the hoisted forms produce bit-identical floats.
-    eps_l1 = eps / l1_bw if l1_bw > 0.0 else 0.0
-    eps_l2 = eps / l2_bw if l2_bw > 0.0 else 0.0
-    for i in range(lo, len(tasks)):
-        task = tasks[i]
-        names_append(task.name)
-        created_append(task.created_by)
-        computes_append(task.compute)
-        cost = task.cost
-        f = cost.flops
-        b1 = cost.bytes_l1
-        b2 = cost.bytes_l2
-        b3 = cost.bytes_l3
-        bd = cost.bytes_dram
-        zero = f == 0.0 and b1 == 0.0 and b2 == 0.0 and b3 == 0.0 and bd == 0.0
-        zeros_append(zero)
-        deps = task.deps
-        indeg_append(len(deps))
-        if not deps:
-            seeds_append(i)
-            if zero:
-                zero_seed = True
-        priv = []
-        shared = []
-        bad = -1
-        if f > eps:
-            rate = cost.efficiency * core_peak
-            if rate <= 0.0:
-                bad = 0
-            else:
-                dur = f / rate
-                priv.append((0, rate, dur, dur - eps / rate, f))
-        if b1 > eps:
-            if l1_bw <= 0.0:
-                bad = bad if bad >= 0 else 1
-            else:
-                dur = b1 / l1_bw
-                priv.append((1, l1_bw, dur, dur - eps_l1, b1))
-        if b2 > eps:
-            if l2_bw <= 0.0:
-                bad = bad if bad >= 0 else 2
-            else:
-                dur = b2 / l2_bw
-                priv.append((2, l2_bw, dur, dur - eps_l2, b2))
-        if b3 > eps:
-            shared.append((3, b3))
-        if bd > eps:
-            shared.append((4, bd))
-        created = task.created_by is not None
-        if created:
-            any_created = True
-        alive0 = -1 - bad if bad >= 0 else len(priv) + len(shared)
-        plans_append(
-            (
-                tuple(priv),
-                tuple(shared),
-                alive0,
-                (not task.untied) and created,
-            )
+def _pack(sp: SeatPlan) -> _FastPlan:
+    """Pack *sp*'s CSR arrays into per-task tuples (one ``tolist`` per
+    column; a tuple slice of a tuple is a tuple, so each task's entries
+    come out without a per-task conversion).  The entry tuples go
+    through ``list`` first, so ``tuple()`` copies a sized sequence
+    instead of repeatedly resizing to fit an unsized ``zip``."""
+    dims = sp.priv_dim.tolist()
+    # The L1/L2 rates are machine constants: entries share the key's
+    # float objects rather than holding a copy each (a service keeps
+    # dozens of packed plans alive at once).
+    fixed = (None, sp.key[1], sp.key[2])
+    rates = [
+        r if d == 0 else fixed[d] for d, r in zip(dims, sp.priv_rate.tolist())
+    ]
+    priv = tuple(list(zip(
+        dims, rates, sp.priv_dur.tolist(), sp.priv_adj.tolist(),
+        sp.priv_dem.tolist(),
+    )))
+    shr = tuple(list(zip(sp.shr_dim.tolist(), sp.shr_work.tolist())))
+    pp = sp.priv_ptr.tolist()
+    sh = sp.shr_ptr.tolist()
+    fp = _FastPlan()
+    fp.key, fp.n, fp.crit_prio = sp.key, sp.n, None
+    fp.plans = [
+        (priv[a:b], shr[c:d], alive0, affinity)
+        for a, b, c, d, alive0, affinity in zip(
+            pp, pp[1:], sh, sh[1:], sp.alive0.tolist(),
+            sp.affinity.astype(bool).tolist(),
         )
-    gp.any_created = any_created
-    gp.zero_seed = zero_seed
-
-
-def _build_plans_arena(
-    arena: TaskArena,
-    gp: _GraphPlan,
-    core_peak: float,
-    l1_bw: float,
-    l2_bw: float,
-) -> None:
-    """Arena twin of :func:`_build_plans`: same scalar expressions over
-    ``tolist()``'d columns (bit-identical plan floats — the hoisted
-    divisions match term for term), no ``Task`` objects touched.
-
-    ``gp.computes`` is ``None``: arenas carry no closures (cost-only by
-    construction) and the kernel refuses ``execute=True`` up front.
-    """
-    eps = _EPS
-    plans_append = gp.plans.append
-    zeros_append = gp.zeros.append
-    seeds_append = gp.seeds.append
-    gp.names = arena.names_list()
-    gp.created = arena.created_by_list()
-    gp.computes = None
-    gp.indeg0 = arena.dep_counts.tolist()
-    flops_l = arena.flops.tolist()
-    eff_l = arena.efficiency.tolist()
-    b1_l = arena.bytes_l1.tolist()
-    b2_l = arena.bytes_l2.tolist()
-    b3_l = arena.bytes_l3.tolist()
-    bd_l = arena.bytes_dram.tolist()
-    untied_l = arena.untied.tolist()
-    created_l = gp.created
-    indeg0 = gp.indeg0
-    any_created = False
-    zero_seed = False
-    eps_l1 = eps / l1_bw if l1_bw > 0.0 else 0.0
-    eps_l2 = eps / l2_bw if l2_bw > 0.0 else 0.0
-    for i in range(len(flops_l)):
-        f = flops_l[i]
-        b1 = b1_l[i]
-        b2 = b2_l[i]
-        b3 = b3_l[i]
-        bd = bd_l[i]
-        zero = f == 0.0 and b1 == 0.0 and b2 == 0.0 and b3 == 0.0 and bd == 0.0
-        zeros_append(zero)
-        if not indeg0[i]:
-            seeds_append(i)
-            if zero:
-                zero_seed = True
-        priv = []
-        shared = []
-        bad = -1
-        if f > eps:
-            rate = eff_l[i] * core_peak
-            if rate <= 0.0:
-                bad = 0
-            else:
-                dur = f / rate
-                priv.append((0, rate, dur, dur - eps / rate, f))
-        if b1 > eps:
-            if l1_bw <= 0.0:
-                bad = bad if bad >= 0 else 1
-            else:
-                dur = b1 / l1_bw
-                priv.append((1, l1_bw, dur, dur - eps_l1, b1))
-        if b2 > eps:
-            if l2_bw <= 0.0:
-                bad = bad if bad >= 0 else 2
-            else:
-                dur = b2 / l2_bw
-                priv.append((2, l2_bw, dur, dur - eps_l2, b2))
-        if b3 > eps:
-            shared.append((3, b3))
-        if bd > eps:
-            shared.append((4, bd))
-        created = created_l[i] is not None
-        if created:
-            any_created = True
-        alive0 = -1 - bad if bad >= 0 else len(priv) + len(shared)
-        plans_append(
-            (
-                tuple(priv),
-                tuple(shared),
-                alive0,
-                (not untied_l[i]) and created,
-            )
-        )
-    gp.any_created = any_created
-    gp.zero_seed = zero_seed
-
-
-def _plans_for(sched: "Scheduler", graph: "TaskGraph") -> _GraphPlan:
-    """Fetch or build the cached :class:`_GraphPlan` for *graph* on
-    this scheduler's machine.
-
-    Caching each task's exactly-zero flag matters on its own:
-    ``TaskCost.is_zero`` is a five-compare property, and the kernel
-    consults it twice per task per run (seeding + completion cascade).
-    """
-    core_peak = sched._core_peak
-    l1_bw = sched._l1_bw
-    l2_bw = sched._l2_bw
-    machine = sched.machine
-    key = (core_peak, l1_bw, l2_bw, machine.l3_bandwidth, machine.dram_bandwidth)
-    gp: _GraphPlan | None = getattr(graph, _PLAN_ATTR, None)
-    if isinstance(graph, TaskArena):
-        # Arenas are immutable: no growth path to handle.
-        if gp is not None and gp.key == key:
-            return gp
-        gp = _GraphPlan(key)
-        _build_plans_arena(graph, gp, core_peak, l1_bw, l2_bw)
-        setattr(graph, _PLAN_ATTR, gp)
-        return gp
-    tasks = graph.tasks
-    if gp is not None and gp.key == key:
-        if len(gp.plans) < len(tasks):  # graph grew since last run
-            _build_plans(tasks, len(gp.plans), gp, core_peak, l1_bw, l2_bw)
-            gp.crit_prio = None  # whole-graph property; recompute
-        return gp
-    gp = _GraphPlan(key)
-    _build_plans(tasks, 0, gp, core_peak, l1_bw, l2_bw)
-    setattr(graph, _PLAN_ATTR, gp)
-    return gp
-
-
-def _ensure_crit_prio(sched: "Scheduler", graph: "TaskGraph", gp: _GraphPlan):
-    """Fill (and cache on *gp*) the ``critical``-policy priorities:
-    longest path to any sink.  Arenas take the vectorized sweep the
-    compiled kernel uses too, so both price the heap identically."""
-    priority = gp.crit_prio
-    if priority is None:
-        if isinstance(graph, TaskArena):
-            # Vectorized reverse sweep — bit-identical to the scalar
-            # loop below (exact max, same add order).
-            durs = graph.uncontended_durations(
-                sched._core_peak,
-                sched._l1_bw,
-                sched._l2_bw,
-                sched.machine.l3_bandwidth,
-                sched.machine.dram_bandwidth,
-            )
-            priority = graph.critical_priorities(durs).tolist()
-        else:
-            successors = graph._successors
-            priority = [0.0] * len(graph)
-            for task in reversed(graph.tasks):
-                below = max(
-                    (priority[s] for s in successors[task.tid]), default=0.0
-                )
-                priority[task.tid] = sched.uncontended_duration(task) + below
-        gp.crit_prio = priority
-    return priority
+    ]
+    fp.zeros = sp.zeros.astype(bool).tolist()
+    fp.seeds = sp.seeds.tolist()
+    fp.indeg0 = sp.indeg0.tolist()
+    fp.any_created = sp.any_created
+    fp.zero_seed = bool(sp.zeros[sp.seeds].any())
+    return fp
 
 
 def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
@@ -400,9 +175,6 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     """
     graph.validate()
     n = len(graph)
-    is_arena = isinstance(graph, TaskArena)
-    # read-only in both shapes; skip the defensive copy
-    successors = graph.successors_lists() if is_arena else graph._successors
     policy = sched.policy
     threads = sched.threads
     execute = sched.execute
@@ -412,27 +184,35 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     l3_bw = sched.machine.l3_bandwidth
     dram_bw = sched.machine.dram_bandwidth
 
-    gp = _plans_for(sched, graph)
-    plans = gp.plans
-    zeros = gp.zeros
-    seeds = gp.seeds
-    names = gp.names
-    created = gp.created
-    computes = gp.computes
-    any_created = gp.any_created
-    zero_seed = gp.zero_seed
-    indegree = gp.indeg0.copy()
+    computes = None
+    if execute:
+        if isinstance(graph, TaskArena):
+            raise SchedulingError(
+                f"graph {graph.name!r} is a TaskArena (cost-only, no compute "
+                f"closures); build with execute=True for the object path"
+            )
+        computes = [task.compute for task in graph.tasks]
 
-    if execute and computes is None:
-        raise SchedulingError(
-            f"graph {graph.name!r} is a TaskArena (cost-only, no compute "
-            f"closures); build with execute=True for the object path"
-        )
+    fp = plan_for(sched, graph, FAST_PLAN_ATTR, _pack)
+    arena = arena_of(graph)
+    plans = fp.plans
+    zeros = fp.zeros
+    seeds = fp.seeds
+    any_created = fp.any_created
+    zero_seed = fp.zero_seed
+    indegree = fp.indeg0.copy()
+    # read-only; the arena caches them
+    names = arena.names_list()
+    created = arena.created_by_list()
+    successors = arena.successors_lists()
 
     # ---- ready-queue state (same discipline as the reference loop) ----
     priority: list[float] | None = None
     if policy == "critical":
-        priority = _ensure_crit_prio(sched, graph, gp)
+        if fp.crit_prio is None:
+            durations = arena.uncontended_durations(*fp.key)
+            fp.crit_prio = arena.critical_priorities(durations).tolist()
+        priority = fp.crit_prio
 
     ready_fifo: deque[int] = deque()
     ready_lifo: list[int] = []

@@ -410,7 +410,7 @@ class Scheduler:
         self._socket_of = [core_ids[i].socket for i in range(threads)]
         self._num_sockets = len(machine.topology.sockets)
         # Hot-path constants (profiled: per-task spec lookups dominate
-        # otherwise — see tools/profile_scheduler.py).
+        # otherwise).
         self._core_peak = machine.core_peak_flops
         self._l1_bw = machine.caches.level("L1").bandwidth_bytes_per_s
         self._l2_bw = machine.caches.level("L2").bandwidth_bytes_per_s

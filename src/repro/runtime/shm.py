@@ -58,7 +58,7 @@ import numpy as np
 
 from ..observability.metrics import counter
 from ..util.errors import ConfigurationError, ValidationError
-from .arena import _COST_FIELDS, TaskArena
+from .arena import _COST_FIELDS, PLAN_ATTRS, TaskArena
 
 __all__ = [
     "ARENA_SCHEMA_VERSION",
@@ -288,7 +288,7 @@ def detach_arena(arena: TaskArena) -> None:
         return
     arena._shm = None
     for attr in list(arena.__dict__):
-        if attr.startswith("_c_") or attr == "_fastpath_plan":
+        if attr.startswith("_c_") or attr in PLAN_ATTRS:
             arena.__dict__.pop(attr, None)
     for attr, _ in _COLUMN_SCHEMA:
         arena.__dict__.pop(attr, None)

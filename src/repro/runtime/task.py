@@ -243,23 +243,6 @@ class TaskGraph:
             return float("inf") if len(self.tasks) else 0.0
         return self.total_work_seconds(duration_fn) / cp
 
-    # ---- columnar bridge ------------------------------------------------
-
-    def to_arena(self) -> "TaskArena":  # noqa: F821 - deferred import
-        """Columnar (SoA/CSR) snapshot of this graph — see
-        :class:`repro.runtime.arena.TaskArena`.  Compute closures are
-        dropped; the arena is cost-only by construction."""
-        from .arena import TaskArena
-
-        return TaskArena.from_graph(self)
-
-    @staticmethod
-    def from_arena(arena: "TaskArena") -> "TaskGraph":  # noqa: F821
-        """Inflate a columnar arena back into an object graph (the
-        reference engine's input shape).  Inverse of :meth:`to_arena`
-        up to compute closures, which arenas never carry."""
-        return arena.to_graph()
-
     # ---- serialization / export ----------------------------------------
 
     def to_dict(self) -> dict:

@@ -10,8 +10,8 @@ hand-written expected values:
   intervals and identical whole-run activity integrals (1e-12
   relative; per-interval rows at 1e-9 — the engines' event times agree
   only to a few ulps, see :mod:`tests.runtime.test_fastpath`).
-* **parallel vs serial study execution** — ``run(parallel=N)`` fans the
-  execution matrix over a process pool; the merged result must be
+* **parallel vs serial study execution** — ``RunOptions(parallel=N)``
+  fans the execution matrix over a process pool; the merged result must be
   *bit-for-bit* identical to the serial run (same run keys, identical
   measurement floats) and the parent's emulated MSR counters must land
   on exactly the same values, because the parallel driver replays every

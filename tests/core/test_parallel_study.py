@@ -1,8 +1,8 @@
 """Parallel study driver: bit-identical to the serial run.
 
-``EnergyPerformanceStudy.run(parallel=N)`` fans the independent matrix
-cells over a process pool, but the merged result must be exactly the
-serial run: same key order, same measurements, and — because the parent
+``EnergyPerformanceStudy._run(N)`` (behind ``RunOptions(parallel=N)``)
+fans the independent matrix cells over a process pool, but the merged
+result must be exactly the serial run: same key order, same measurements, and — because the parent
 replays every cell's plane energies into its own MSR in serial order —
 the same RAPL counter stream.
 """
@@ -26,9 +26,9 @@ def pair(machine):
     def run(parallel):
         msr = MsrFile()
         study = EnergyPerformanceStudy(
-            machine, config=cfg, engine=Engine(machine, msr=msr)
+            machine, config=cfg, _engine=Engine(machine, msr=msr)
         )
-        return study.run(parallel=parallel), msr
+        return study._run(parallel), msr
 
     return run(None), run(2)
 
@@ -97,7 +97,7 @@ def test_worker_crash_surfaces_cell_coordinates(machine):
     )
     study = EnergyPerformanceStudy(machine, [_CrashingAlg(machine)], config=cfg)
     with pytest.raises(StudyCellError) as exc_info:
-        study.run(parallel=2)
+        study._run(2)
     err = exc_info.value
     assert (err.algorithm, err.size, err.threads) == ("crasher", 128, 2)
     assert "size=128" in str(err) and "threads=2" in str(err)
@@ -119,7 +119,7 @@ def test_worker_crash_message_names_first_failing_cell(machine):
     alg = _CrashingAlg(machine, crash_cell=(64, 1))  # the very first cell
     study = EnergyPerformanceStudy(machine, [alg], config=cfg)
     with pytest.raises(StudyCellError) as exc_info:
-        study.run(parallel=2)
+        study._run(2)
     assert (exc_info.value.size, exc_info.value.threads) == (64, 1)
 
 
@@ -128,7 +128,7 @@ def test_parallel_one_is_serial_path(machine):
     matrix)."""
     cfg = StudyConfig(sizes=(128,), threads=(1, 2), execute_max_n=0)
     study = EnergyPerformanceStudy(machine, config=cfg)
-    result = study.run(parallel=1)
+    result = study._run(1)
     assert len(result.runs) == 3 * 1 * 2
 
 

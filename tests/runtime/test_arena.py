@@ -34,13 +34,13 @@ class TestRoundTrip:
     def test_graph_arena_graph_is_bit_identical(self):
         for seed in range(25):
             g = _random_graph(seed)
-            arena = g.to_arena()
-            back = TaskGraph.from_arena(arena)
-            assert arena.structural_diff(back.to_arena()) == [], seed
+            arena = TaskArena.from_graph(g)
+            back = arena.to_graph()
+            assert arena.structural_diff(TaskArena.from_graph(back)) == [], seed
 
     def test_round_trip_preserves_every_field(self):
         g = _random_graph(7)
-        back = TaskGraph.from_arena(g.to_arena())
+        back = TaskArena.from_graph(g).to_graph()
         assert len(back) == len(g)
         assert back.name == g.name
         for a, b in zip(g.tasks, back.tasks):
@@ -56,20 +56,20 @@ class TestRoundTrip:
     def test_round_trip_drops_compute_closures(self):
         g = TaskGraph("with-compute")
         g.add("t0", TaskCost(flops=1.0), compute=lambda: None)
-        back = TaskGraph.from_arena(g.to_arena())
+        back = TaskArena.from_graph(g).to_graph()
         assert back.tasks[0].compute is None
 
     def test_successors_match_object_append_order(self):
         for seed in range(10):
             g = _random_graph(seed)
-            arena = g.to_arena()
+            arena = TaskArena.from_graph(g)
             assert arena.successors_lists() == g._successors, seed
 
     def test_structural_diff_detects_cost_skew(self):
         g = _random_graph(3)
-        a = g.to_arena()
+        a = TaskArena.from_graph(g)
         g.tasks[0].cost = TaskCost(flops=g.tasks[0].cost.flops + 1.0)
-        assert g.to_arena().structural_diff(a) != []
+        assert TaskArena.from_graph(g).structural_diff(a) != []
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,7 @@ class TestMetrics:
     def test_critical_path_exact(self):
         for seed in range(20):
             case = gen_graph_case(seed, max_tasks=60)
-            arena = case.graph.to_arena()
+            arena = TaskArena.from_graph(case.graph)
             fn, durs = self._durations(case.machine, case.graph, arena)
             assert case.graph.critical_path_seconds(fn) == (
                 arena.critical_path_seconds(durs)
@@ -102,7 +102,7 @@ class TestMetrics:
         # tolerance, not bit equality, is the contract here.
         for seed in range(20):
             case = gen_graph_case(seed, max_tasks=60)
-            arena = case.graph.to_arena()
+            arena = TaskArena.from_graph(case.graph)
             fn, durs = self._durations(case.machine, case.graph, arena)
             a = case.graph.total_work_seconds(fn)
             b = arena.total_work_seconds(durs)
@@ -110,7 +110,7 @@ class TestMetrics:
 
     def test_average_parallelism_consistent(self):
         case = gen_graph_case(11, max_tasks=60)
-        arena = case.graph.to_arena()
+        arena = TaskArena.from_graph(case.graph)
         fn, durs = self._durations(case.machine, case.graph, arena)
         assert case.graph.average_parallelism(fn) == pytest.approx(
             arena.average_parallelism(durs), rel=1e-12
@@ -118,7 +118,7 @@ class TestMetrics:
 
     def test_uncontended_durations_match_scalar(self):
         case = gen_graph_case(5, max_tasks=60)
-        arena = case.graph.to_arena()
+        arena = TaskArena.from_graph(case.graph)
         fn, durs = self._durations(case.machine, case.graph, arena)
         for t in case.graph.tasks:
             assert durs[t.tid] == fn(t), t
@@ -153,21 +153,21 @@ def _graph_with_deps():
 
 class TestValidate:
     def test_unresolved_sentinel_rejected(self):
-        arena = _graph_with_deps().to_arena()
+        arena = TaskArena.from_graph(_graph_with_deps())
         bad = arena.dep_indices.copy()
         bad[0] = EXT_DEP
         with pytest.raises(SchedulingError, match="sentinel"):
             _rebuild(arena, dep_indices=bad).validate()
 
     def test_forward_dep_rejected(self):
-        arena = _graph_with_deps().to_arena()
+        arena = TaskArena.from_graph(_graph_with_deps())
         bad = arena.dep_indices.copy()
         bad[0] = len(arena) - 1  # task 1 now "depends" on the last task
         with pytest.raises(SchedulingError, match="unknown/future"):
             _rebuild(arena, dep_indices=bad).validate()
 
     def test_name_id_range_rejected(self):
-        arena = _graph_with_deps().to_arena()
+        arena = TaskArena.from_graph(_graph_with_deps())
         bad = arena.name_ids.copy()
         bad[0] = len(arena.names)  # one past the interned table
         with pytest.raises(ValidationError):
@@ -187,7 +187,7 @@ class TestValidate:
 class TestPickle:
     def test_round_trip_and_cache_drop(self):
         case = gen_graph_case(4, max_tasks=60)
-        arena = case.graph.to_arena()
+        arena = TaskArena.from_graph(case.graph)
         # Warm the lazy caches and a fastpath plan.
         arena.names_list()
         arena.successors_lists()
@@ -200,7 +200,7 @@ class TestPickle:
 
     def test_pickled_arena_schedules_identically(self):
         case = gen_graph_case(9, max_tasks=60)
-        arena = case.graph.to_arena()
+        arena = TaskArena.from_graph(case.graph)
         clone = pickle.loads(pickle.dumps(arena))
         s1 = Scheduler(
             case.machine, case.threads, case.policy, execute=False
@@ -219,7 +219,7 @@ class TestSchedulerBridge:
     def test_fast_engine_consumes_arena_natively(self):
         for seed in range(15):
             case = gen_graph_case(seed, max_tasks=60)
-            arena = case.graph.to_arena()
+            arena = TaskArena.from_graph(case.graph)
             fast_arena = Scheduler(
                 case.machine,
                 case.threads,
@@ -238,7 +238,7 @@ class TestSchedulerBridge:
 
     def test_reference_engine_inflates_arena(self):
         case = gen_graph_case(6, max_tasks=40)
-        arena = case.graph.to_arena()
+        arena = TaskArena.from_graph(case.graph)
         ref_arena = Scheduler(
             case.machine, case.threads, case.policy, execute=False,
             engine="reference",
@@ -252,7 +252,7 @@ class TestSchedulerBridge:
     def test_execute_on_arena_raises(self, machine):
         g = TaskGraph("g")
         g.add("t", TaskCost(flops=1.0))
-        arena = g.to_arena()
+        arena = TaskArena.from_graph(g)
         for engine in ("fast", "reference"):
             with pytest.raises(SchedulingError, match="cost-only"):
                 Scheduler(machine, 1, execute=True, engine=engine).run(arena)

@@ -1,19 +1,20 @@
 """The compiled engine's columnar plan bundle.
 
-The bundle is built from a :class:`TaskArena`'s columns with numpy (an
-object graph is columnized first).  These tests pin the edge cases of
-that lowering against the fast engine, whose scalar plan builder it
-must reproduce bit-for-bit: tasks whose demand has no service rate,
-creator affinity, every ready-queue policy, graph growth, and a
-property over random arenas that also covers the measurement.
+The bundle is the shared seat plan (:mod:`repro.runtime.seatplan`),
+built from a :class:`TaskArena`'s columns with numpy (an object graph
+is columnized first).  These tests pin its edge cases on the compiled
+kernel against the fast kernel, which packs the same plan into tuples:
+tasks whose demand has no service rate, creator affinity, every
+ready-queue policy, graph growth, and a property over random arenas
+that also covers the measurement.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine import haswell_e3_1225
-from repro.runtime import compiledpath as cp
-from repro.runtime.arena import TaskArena
+from repro.runtime.arena import COMPILED_PLAN_ATTR, TaskArena
+from repro.runtime.seatplan import ARENA_ATTR
 from repro.runtime.cost import TaskCost
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.task import TaskGraph
@@ -77,8 +78,8 @@ def test_zero_cache_bandwidth_raises_fast_message(dim, attr, as_arena):
 
 
 def test_first_bad_dimension_is_reported():
-    """Flops and L1 both lack a rate: dim 0 is named, as in the fast
-    engine's plan builder."""
+    """Flops and L1 both lack a rate: dim 0 is named, as the reference
+    kernel does."""
     def graph():
         g = TaskGraph("both")
         g.add("x", TaskCost(flops=1e6, bytes_l1=1e3))
@@ -113,7 +114,7 @@ def _affinity_graph():
 def test_affinity_flags_follow_created_by_and_untied():
     g = _affinity_graph()
     _run(g, threads=4)
-    bundle = getattr(g, cp._PLAN_ATTR)
+    bundle = getattr(g, COMPILED_PLAN_ATTR)
     tasks = g.tasks
     assert bundle.any_created
     assert bundle.created.tolist() == [
@@ -144,11 +145,11 @@ def test_critical_priorities_cached_on_bundle(policy):
     g = _affinity_graph()
     arena = TaskArena.from_graph(g)
     first = _run(arena, policy, 3)
-    bundle = getattr(arena, cp._PLAN_ATTR)
+    bundle = getattr(arena, COMPILED_PLAN_ATTR)
     prio = bundle.crit_prio
     assert (prio is not None) == (policy == "critical")
     second = _run(arena, policy, 3)
-    assert getattr(arena, cp._PLAN_ATTR) is bundle
+    assert getattr(arena, COMPILED_PLAN_ATTR) is bundle
     assert bundle.crit_prio is prio
     assert_bit_identical(first, second)
     assert_bit_identical(_run(arena, policy, 3, engine="fast"), second)
@@ -157,16 +158,16 @@ def test_critical_priorities_cached_on_bundle(policy):
 def test_object_graph_growth_rebuilds_arena_and_bundle():
     g = _affinity_graph()
     _run(g, "critical", 2)
-    arena = getattr(g, cp._ARENA_ATTR)
-    bundle = getattr(g, cp._PLAN_ATTR)
+    arena = getattr(g, ARENA_ATTR)
+    bundle = getattr(g, COMPILED_PLAN_ATTR)
     assert len(arena) == len(g) and bundle.crit_prio is not None
 
     g.add("late", TaskCost(flops=5e7), deps=[len(g) - 1], created_by=0,
           untied=False)
     comp = _run(g, "critical", 2)
-    assert getattr(g, cp._ARENA_ATTR) is not arena
-    assert len(getattr(g, cp._ARENA_ATTR)) == len(g)
-    grown = getattr(g, cp._PLAN_ATTR)
+    assert getattr(g, ARENA_ATTR) is not arena
+    assert len(getattr(g, ARENA_ATTR)) == len(g)
+    grown = getattr(g, COMPILED_PLAN_ATTR)
     assert grown is not bundle and grown.n == len(g)
     assert len(grown.crit_prio) == len(g)
     assert_bit_identical(_run(g, "critical", 2, engine="fast"), comp)
@@ -176,11 +177,11 @@ def test_object_graph_growth_rebuilds_arena_and_bundle():
 def test_machine_change_rebuilds_bundle():
     g = _affinity_graph()
     _run(g)
-    bundle = getattr(g, cp._PLAN_ATTR)
+    bundle = getattr(g, COMPILED_PLAN_ATTR)
     sched = Scheduler(MACHINE, 2, execute=False, engine="compiled")
     sched._l2_bw /= 2
     sched.run(g)
-    rebuilt = getattr(g, cp._PLAN_ATTR)
+    rebuilt = getattr(g, COMPILED_PLAN_ATTR)
     assert rebuilt is not bundle and rebuilt.key[2] == bundle.key[2] / 2
 
 

@@ -26,6 +26,7 @@ import pytest
 from repro.machine import generic_smp, haswell_e3_1225
 from repro.machine.specs import dual_socket_haswell
 from repro.runtime import compiledpath as cp
+from repro.runtime.arena import COMPILED_PLAN_ATTR
 from repro.runtime.cost import TaskCost
 from repro.runtime.scheduler import ENGINES, Scheduler, default_engine
 from repro.runtime.task import TaskGraph
@@ -144,14 +145,14 @@ def test_plan_bundle_cached_and_dropped_from_pickles(machine):
     g = wide_graph(30)
     sched = Scheduler(machine, 2, execute=False, engine="compiled")
     sched.run(g)
-    bundle = getattr(g, cp._PLAN_ATTR)
+    bundle = getattr(g, COMPILED_PLAN_ATTR)
     sched.run(g)
-    assert getattr(g, cp._PLAN_ATTR) is bundle  # reused, not rebuilt
+    assert getattr(g, COMPILED_PLAN_ATTR) is bundle  # reused, not rebuilt
 
     g.add("late", TaskCost(flops=1e6), deps=[0])
     fast = Scheduler(machine, 2, execute=False, engine="fast").run(g)
     comp = sched.run(g)
-    assert getattr(g, cp._PLAN_ATTR) is not bundle  # regrown for the new task
+    assert getattr(g, COMPILED_PLAN_ATTR) is not bundle  # regrown for the new task
     assert_bit_identical(fast, comp)
 
 
@@ -161,9 +162,9 @@ def test_arena_pickle_drops_plan_bundle(machine):
 
     arena = StrassenWinograd(machine).build_arena(128, 2).graph
     Scheduler(machine, 2, execute=False, engine="compiled").run(arena)
-    assert getattr(arena, cp._PLAN_ATTR, None) is not None
+    assert getattr(arena, COMPILED_PLAN_ATTR, None) is not None
     clone = pickle.loads(pickle.dumps(arena))
-    assert getattr(clone, cp._PLAN_ATTR, None) is None
+    assert getattr(clone, COMPILED_PLAN_ATTR, None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -319,20 +319,26 @@ def test_event_store_crossover_is_invisible(policy, monkeypatch):
             assert (a.tid, a.core, a.start, a.end) == (b.tid, b.core, b.start, b.end)
 
 
-def test_graph_plan_cache_reused_and_extended(machine):
-    """The per-graph plan cache survives repeat runs and graph growth."""
-    from repro.runtime.fastpath import _PLAN_ATTR
+def test_graph_plan_cache_reused_and_rebuilt_on_growth(machine):
+    """The per-graph plan cache survives repeat runs; graph growth
+    rebuilds it (and the cached arena conversion) for the new task."""
+    from repro.runtime.arena import COMPILED_PLAN_ATTR, FAST_PLAN_ATTR
+    from repro.runtime.seatplan import ARENA_ATTR
 
     g = wide_graph(30)
     sched = Scheduler(machine, 2, execute=False, engine="fast")
     sched.run(g)
-    gp = getattr(g, _PLAN_ATTR)
+    gp = getattr(g, FAST_PLAN_ATTR)
     assert len(gp.plans) == 30
+    # Only the packed tuples are kept; the array plan was transient.
+    assert not hasattr(g, COMPILED_PLAN_ATTR)
     sched.run(g)
-    assert getattr(g, _PLAN_ATTR) is gp  # reused, not rebuilt
+    assert getattr(g, FAST_PLAN_ATTR) is gp  # reused, not rebuilt
 
     g.add("late", TaskCost(flops=1e6), deps=[0])
     ref = Scheduler(machine, 2, execute=False, engine="reference").run(g)
     fast = sched.run(g)
-    assert getattr(g, _PLAN_ATTR) is gp and len(gp.plans) == 31  # extended
+    grown = getattr(g, FAST_PLAN_ATTR)
+    assert grown is not gp and len(grown.plans) == 31  # rebuilt
+    assert len(getattr(g, ARENA_ATTR)) == 31
     assert_schedules_match(ref, fast)

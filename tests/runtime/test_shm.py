@@ -169,6 +169,25 @@ def test_detach_is_idempotent_and_releases_columns():
         detach_arena(att)  # second detach: no-op
 
 
+def test_detach_drops_every_engine_plan(machine):
+    """Both engines cache a seat plan on an attached arena; detaching
+    must drop all of them (they may pin the mapping)."""
+    from repro.runtime.arena import PLAN_ATTRS
+    from repro.runtime.compiledpath import compiled_available
+    from repro.runtime.scheduler import Scheduler
+
+    if not compiled_available()[0]:
+        pytest.skip("compiled engine unavailable (no C toolchain)")
+    arena = _small_arena()
+    with ArenaPool() as pool:
+        att = attach_arena(pool.put(arena))
+        for engine in ("fast", "compiled"):
+            Scheduler(machine, 2, execute=False, engine=engine).run(att)
+        assert all(hasattr(att, attr) for attr in PLAN_ATTRS)
+        detach_arena(att)
+        assert [a for a in PLAN_ATTRS if hasattr(att, a)] == []
+
+
 def test_exception_inside_pool_context_still_unlinks():
     with pytest.raises(RuntimeError, match="boom"):
         with ArenaPool() as pool:

@@ -83,7 +83,7 @@ def test_noisy_engine_drives_a_full_study(machine):
     cfg = StudyConfig(sizes=(128,), threads=(1, 2), execute_max_n=0, verify=False)
     exact = EnergyPerformanceStudy(machine, config=cfg).run()
     noisy = EnergyPerformanceStudy(
-        machine, config=cfg, engine=NoisyEngine(Engine(machine), seed=3)
+        machine, config=cfg, _engine=NoisyEngine(Engine(machine), seed=3)
     ).run()
     for key in exact.runs:
         e, n = exact.runs[key], noisy.runs[key]

@@ -156,24 +156,16 @@ class TestTracedFacade:
 
 
 class TestDeprecationShims:
-    def test_engine_kwarg_warns_but_works(self, machine):
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            study = EnergyPerformanceStudy(
+    def test_removed_spellings_are_gone(self, machine):
+        """The 1.1 shims were removed in 1.2.0 (CHANGELOG.md)."""
+        with pytest.raises(TypeError):
+            EnergyPerformanceStudy(
                 machine, config=StudyConfig(**CFG), engine=Engine(machine)
             )
-        assert len(study.run().runs) == 6
-
-    def test_run_parallel_kwarg_warns_but_works(self, machine):
         study = EnergyPerformanceStudy(machine, config=StudyConfig(**CFG))
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            result = study.run(parallel=1)
-        assert len(result.runs) == 6
-
-    def test_avg_power_alias_warns_and_delegates(self, machine):
-        result = Study(machine, **CFG).run().result
-        with pytest.warns(DeprecationWarning, match="avg_power_w"):
-            legacy = result.avg_power("openblas")
-        assert legacy == result.avg_power_w("openblas")
+        with pytest.raises(TypeError):
+            study.run(parallel=1)
+        assert not hasattr(study.run(), "avg_power")
 
     def test_plain_usage_does_not_warn(self, machine, recwarn):
         import warnings
