@@ -1,10 +1,14 @@
 """Common interface of the three matrix-multiplication algorithms.
 
 Each algorithm (§IV: OpenBLAS-style blocked, Strassen-Winograd, CAPS)
-*lowers* a problem instance to a :class:`~repro.runtime.task.TaskGraph`
-whose tasks carry both the analytical cost vectors (driving the
-simulator) and optional numpy closures (performing the real numerics so
-results can be verified against ``numpy.matmul``).
+*lowers* a problem instance to a :class:`~repro.runtime.arena.TaskArena`
+through one lowering, :meth:`MatmulAlgorithm.build`: the arena's cost
+columns drive the simulator, stamped from memoized subtree templates.
+An executed build (``execute=True``) also allocates the operands and
+fills ``arena.kernels``, one numpy closure (or ``None``) per tid, which
+performs the real numerics so results can be verified against
+``numpy.matmul``.  The kernel list comes from a closure-only walk in
+the templates' emission order.
 """
 
 from __future__ import annotations
@@ -12,16 +16,23 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ..linalg.dense import random_matrix, working_set_bytes
+from ..linalg.dense import pad_to_power_of_two, random_matrix, working_set_bytes
 from ..linalg.verify import VerificationReport, verify_matmul
 from ..machine.specs import MachineSpec
 from ..observability import trace
 from ..observability.metrics import counter, gauge
-from ..runtime.arena import TaskArena
-from ..runtime.task import TaskGraph
+from ..runtime.arena import (
+    NO_CREATOR,
+    NameInterner,
+    SubtreeTemplate,
+    TaskArena,
+    TemplateBuilder,
+)
+from ..runtime.cost import TaskCost
 from ..util.errors import ConfigurationError, ValidationError
 from ..util.validation import require_positive
 
@@ -30,7 +41,7 @@ __all__ = [
     "BuildResult",
     "MatmulAlgorithm",
     "default_build_cache",
-    "record_lowering",
+    "stamp_padded",
 ]
 
 # Process-wide lowering metrics (see DESIGN.md §10).  Counters are
@@ -42,21 +53,6 @@ _TASKS_LOWERED = counter("lowering.tasks", description="tasks emitted by graph l
 _ARENA_BYTES = gauge("lowering.arena_bytes", unit="B", description="resident bytes of the last columnar arena lowering")
 
 
-def record_lowering(build: BuildResult) -> BuildResult:
-    """Tally a finished lowering into the process metrics.
-
-    Called by every ``build_arena`` implementation and by the cache's
-    object-path fallback, so ``lowering.tasks`` counts all lowered
-    tasks regardless of representation and ``lowering.arena_bytes``
-    tracks the columnar arenas' resident footprint.
-    """
-    graph = build.graph
-    _TASKS_LOWERED.add(len(graph))
-    if isinstance(graph, TaskArena):
-        _ARENA_BYTES.set(graph.nbytes)
-    return build
-
-
 @dataclass
 class BuildResult:
     """A lowered problem instance.
@@ -64,10 +60,9 @@ class BuildResult:
     Attributes
     ----------
     graph:
-        The task graph to schedule — an object :class:`TaskGraph`
-        (always, for executed builds) or a columnar
-        :class:`~repro.runtime.arena.TaskArena` (cost-only builds from
-        a templated ``build_arena`` lowering).
+        The task graph to schedule, a columnar
+        :class:`~repro.runtime.arena.TaskArena` whose ``kernels`` are
+        set exactly when the build is executed.
     n:
         Problem dimension.
     a, b, c:
@@ -81,7 +76,7 @@ class BuildResult:
         Recursion cutoff relevant to the stability bound.
     """
 
-    graph: TaskGraph | TaskArena
+    graph: TaskArena
     n: int
     a: np.ndarray | None
     b: np.ndarray | None
@@ -119,13 +114,13 @@ class BuildCache:
     Sharing semantics
     -----------------
     * **Cost-only builds** (``execute=False``) are immutable: their
-      graphs carry no compute closures and no operand arrays, and
+      arenas carry no kernels and no operand arrays, and
       scheduling one never mutates it.  The cache therefore returns the
       *same* :class:`BuildResult` to every caller — which is also what
       lets the fast engine's per-graph seat-plan cache amortize across
       protocol repetitions and study repeats.
     * **Executed builds** (``execute=True``) bind operand arrays into
-      task closures and accumulate into ``C`` when run, so a stored
+      kernel closures and accumulate into ``C`` when run, so a stored
       instance would be corrupted by its first execution.  The cache
       *re-lowers* on every request instead: deterministic operand
       seeding makes each fresh build an exact clone, and mutating one
@@ -170,8 +165,8 @@ class BuildCache:
 
         The ``execute`` flag is part of the cache key *and* checked on
         the way out: an executed request must never be satisfied by a
-        stored cost-only lowering (it has no operands or compute
-        closures, so running it would silently produce an empty C), and
+        stored cost-only lowering (it has no operands or kernels, so
+        running it would silently produce an empty C), and
         a cost-only request must never observe an executed build's
         mutable arrays.  Today executed builds are never stored at all,
         but the guard keeps the isolation boundary machine-checked if
@@ -185,7 +180,6 @@ class BuildCache:
                 "lower", alg=alg.name, n=n, threads=threads, execute=True
             ):
                 build = alg.build(n, threads, seed=seed, execute=True)
-            record_lowering(build)
             if build.cost_only:
                 raise ValidationError(
                     f"{alg.name}: build(execute=True) returned a cost-only "
@@ -208,18 +202,10 @@ class BuildCache:
                 return cached
         self.misses += 1
         _CACHE_MISSES.add()
-        # Prefer the columnar templated lowering when the algorithm has
-        # one: same graph bit-for-bit (the differential oracle enforces
-        # it), a fraction of the build time and memory, and picklable
-        # across study workers.
         with trace.span(
             "lower", alg=alg.name, n=n, threads=threads, execute=False
         ):
-            build = alg.build_arena(n, threads, seed=seed)
-            if build is None:
-                build = record_lowering(
-                    alg.build(n, threads, seed=seed, execute=False)
-                )
+            build = alg.build(n, threads, seed=seed, execute=False)
         self._entries[key] = (alg, build)
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
@@ -250,7 +236,6 @@ class MatmulAlgorithm(ABC):
     def flop_count(self, n: int) -> float:
         """Flops the algorithm performs for an n x n multiply."""
 
-    @abstractmethod
     def build(
         self,
         n: int,
@@ -258,24 +243,43 @@ class MatmulAlgorithm(ABC):
         seed: int = 0,
         execute: bool = True,
     ) -> BuildResult:
-        """Lower an n x n problem to a task graph.
+        """Lower an n x n problem to a :class:`TaskArena`.
 
         ``threads`` informs work-sharing chunk counts (OpenMP static
-        schedules depend on the team size); ``execute=False`` skips all
-        array allocation and numpy closures.
+        schedules depend on the team size).  ``execute=True`` also
+        allocates the operands and fills ``arena.kernels`` with one
+        closure (or ``None``) per tid; ``execute=False`` allocates
+        nothing and leaves ``kernels`` unset.
         """
+        require_positive(n, "n")
+        require_positive(threads, "threads")
+        self.check_memory(n)
+        a = b = c = None
+        if execute:
+            a = random_matrix(n, seed=seed)
+            b = random_matrix(n, seed=seed + 1)
+            c = np.zeros((n, n), dtype=np.float64)
+        arena = self._lower(n, threads, (a, b, c) if execute else None)
+        if execute and (arena.kernels is None or len(arena.kernels) != len(arena)):
+            raise ValidationError(
+                f"{self.name}[n={n}]: {len(arena.kernels or ())} kernels "
+                f"for {len(arena)} tasks"
+            )
+        _TASKS_LOWERED.add(len(arena))
+        _ARENA_BYTES.set(arena.nbytes)
+        variant, cutoff = self._stability(n)
+        return BuildResult(arena, n, a, b, c, variant=variant, cutoff=cutoff)
 
-    def build_arena(self, n: int, threads: int, seed: int = 0) -> BuildResult | None:
-        """Cost-only lowering to a :class:`~repro.runtime.arena.TaskArena`,
-        or ``None`` when the algorithm has no columnar path (the cache
-        then falls back to ``build(execute=False)``).
+    def _lower(
+        self, n: int, threads: int, operands: tuple | None
+    ) -> TaskArena:
+        """Stamp the arena for an n x n problem; with *operands*
+        ``(A, B, C)`` it must carry one kernel per tid."""
+        raise NotImplementedError
 
-        Implementations must produce a graph *bit-identical* (ids,
-        names, deps, costs, flags) to
-        ``TaskArena.from_graph(build(n, threads, execute=False).graph)``
-        — the object recursion stays the differential oracle.
-        """
-        return None
+    def _stability(self, n: int) -> tuple[str, int]:
+        """``(variant, cutoff)`` of the verification stability bound."""
+        raise NotImplementedError
 
     def build_cached(
         self,
@@ -316,14 +320,42 @@ class MatmulAlgorithm(ABC):
                 f"machine has {self.machine.dram.capacity_bytes / 2**30:.2f} GiB"
             )
 
-    def _operands(
-        self, n: int, seed: int, execute: bool
-    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-        """Allocate (A, B, C) or return Nones in cost-only mode."""
-        require_positive(n, "n")
-        if not execute:
-            return None, None, None
-        a = random_matrix(n, seed=seed)
-        b = random_matrix(n, seed=seed + 1)
-        c = np.zeros((n, n), dtype=np.float64)
-        return a, b, c
+
+def stamp_padded(
+    interner: NameInterner,
+    name: str,
+    tpl: SubtreeTemplate,
+    n: int,
+    m: int,
+    operands: tuple | None,
+    walk: Callable[[np.ndarray, np.ndarray, np.ndarray, list], None],
+    unpad_cost: TaskCost,
+) -> TaskArena:
+    """Stamp a recursive lowering's root template *tpl* (dimension
+    ``m >= n``) as the arena *name*.
+
+    With *operands* ``(A, B, C)``, ``walk(A, B, C, kernels)`` appends
+    the template's kernels in emission order; a padded build (``m > n``)
+    walks zero-padded copies and gains one trailing ``unpad`` row that
+    copies the valid ``n x n`` block of the product back into C.
+    """
+    tb = TemplateBuilder(interner)
+    terminal = tb.splice(tpl, ext=(), ext_creator=NO_CREATOR)
+    if operands is None:
+        return tb.to_arena(name)
+    a, b, c = operands
+    kernels: list = []
+    if m == n:
+        walk(a, b, c, kernels)
+        return tb.to_arena(name, kernels)
+    ap, _ = pad_to_power_of_two(a)
+    bp, _ = pad_to_power_of_two(b)
+    cp = np.zeros((m, m), dtype=np.float64)
+    walk(ap, bp, cp, kernels)
+
+    def unpad():
+        c[:, :] = cp[:n, :n]
+
+    tb.emit("unpad", unpad_cost, (terminal,))
+    kernels.append(unpad)
+    return tb.to_arena(name, kernels)

@@ -21,15 +21,11 @@ platforms" (§IV-D).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..linalg.dense import matmul_flops, working_set_bytes
 from ..machine.specs import MachineSpec
-from ..runtime.arena import NameInterner, TemplateBuilder
-from ..runtime.openmp import OpenMP
+from ..runtime.arena import NameInterner, TaskArena, TemplateBuilder
 from ..util.validation import require_fraction, require_positive
-from ..observability import trace
-from .base import BuildResult, MatmulAlgorithm, record_lowering
+from .base import MatmulAlgorithm
 from .kernels import blocked_tile_cost
 from .tuning import select_blocking, tile_grid
 
@@ -79,20 +75,18 @@ class BlockedGemm(MatmulAlgorithm):
             return ws  # cold load only; all reuse hits the LLC
         return matmul_flops(n) * _WORD / self.blocking.b3 + ws
 
-    def build(
-        self, n: int, threads: int, seed: int = 0, execute: bool = True
-    ) -> BuildResult:
-        """Lower an n x n multiply to an independent grid of tile tasks."""
-        require_positive(threads, "threads")
-        self.check_memory(n)
-        a, b, c = self._operands(n, seed, execute)
-        omp = OpenMP(f"openblas[n={n}]", threads)
+    def _stability(self, n: int) -> tuple[str, int]:
+        return "classical", n
 
+    def _lower(self, n: int, threads: int, operands: tuple | None) -> TaskArena:
+        """Lower an n x n multiply to an independent grid of tile tasks
+        (row-major), with one tile closure each when executed."""
+        tb = TemplateBuilder(NameInterner())
+        kernels = None if operands is None else []
         rows = tile_grid(n, threads, self.min_tiles_per_thread)
         cols = tile_grid(n, threads, self.min_tiles_per_thread)
         total_flops = self.flop_count(n)
         total_dram = self.dram_traffic_bytes(n)
-
         for ro, rs in rows:
             for co, cs in cols:
                 tile_flops = 2.0 * rs * cs * n
@@ -100,54 +94,14 @@ class BlockedGemm(MatmulAlgorithm):
                 cost = blocked_tile_cost(
                     rs, cs, n, self.machine, self.efficiency, dram_share
                 )
-                compute = None
-                if execute:
+                tb.emit(f"tile/({ro},{co})", cost)
+                if kernels is not None:
+                    kernels.append(_tile_kernel(*operands, ro, rs, co, cs))
+        return tb.to_arena(f"openblas[n={n}]", kernels)
 
-                    def compute(ro=ro, rs=rs, co=co, cs=cs):
-                        c[ro : ro + rs, co : co + cs] = (
-                            a[ro : ro + rs, :] @ b[:, co : co + cs]
-                        )
 
-                omp.task(f"tile/({ro},{co})", cost, compute=compute)
+def _tile_kernel(a, b, c, ro, rs, co, cs):
+    def tile():
+        c[ro : ro + rs, co : co + cs] = a[ro : ro + rs, :] @ b[:, co : co + cs]
 
-        return BuildResult(
-            graph=omp.graph, n=n, a=a, b=b, c=c, variant="classical", cutoff=n
-        )
-
-    def build_arena(self, n: int, threads: int, seed: int = 0) -> BuildResult:
-        """Cost-only lowering straight to a :class:`TaskArena`.
-
-        The tile grid is flat (no recursion to template), so this is a
-        plain columnar emission — it exists so cost-only study cells
-        get picklable array graphs instead of ``Task`` objects."""
-        require_positive(threads, "threads")
-        require_positive(n, "n")
-        self.check_memory(n)
-        with trace.span("lower_arena", alg=self.name, n=n, threads=threads):
-            tb = TemplateBuilder(NameInterner())
-
-            rows = tile_grid(n, threads, self.min_tiles_per_thread)
-            cols = tile_grid(n, threads, self.min_tiles_per_thread)
-            total_flops = self.flop_count(n)
-            total_dram = self.dram_traffic_bytes(n)
-
-            for ro, rs in rows:
-                for co, cs in cols:
-                    tile_flops = 2.0 * rs * cs * n
-                    dram_share = total_dram * (tile_flops / total_flops)
-                    cost = blocked_tile_cost(
-                        rs, cs, n, self.machine, self.efficiency, dram_share
-                    )
-                    tb.emit(f"tile/({ro},{co})", cost)
-
-            return record_lowering(
-                BuildResult(
-                    graph=tb.to_arena(f"openblas[n={n}]"),
-                    n=n,
-                    a=None,
-                    b=None,
-                    c=None,
-                    variant="classical",
-                    cutoff=n,
-                )
-            )
+    return tile

@@ -17,7 +17,8 @@ level, between:
   sub-tree stages are OpenMP work-shared loops (``parallel_for`` row
   chunks).
 
-Algorithm 2 of the paper is the dispatch in :meth:`CapsStrassen._recurse`::
+Algorithm 2 of the paper is the dispatch in
+:meth:`CapsStrassen._arena_template` (and its kernel walk)::
 
     if DEPTH < CUTOFF_DEPTH: execute Strassen BFS
     else:                    execute Strassen DFS
@@ -25,26 +26,30 @@ Algorithm 2 of the paper is the dispatch in :meth:`CapsStrassen._recurse`::
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
-from ..linalg.dense import pad_to_power_of_two, working_set_bytes
-from ..linalg.fastmm import recursion_depth, winograd_product
+from ..linalg.dense import split_quadrants, working_set_bytes
+from ..linalg.fastmm import (
+    recursion_depth,
+    winograd_factors,
+    winograd_post,
+    winograd_pre,
+    winograd_product,
+)
 from ..machine.specs import MachineSpec
 from ..runtime.arena import (
     EXT_DEP,
     NameInterner,
     SubtreeTemplate,
+    TaskArena,
     TemplateBuilder,
 )
 from ..runtime.cost import ZERO_COST, TaskCost
-from ..runtime.openmp import OpenMP
-from ..runtime.task import Task
 from ..util.errors import ConfigurationError
 from ..util.validation import next_power_of_two, require_fraction, require_positive
-from ..observability import trace
-from .base import BuildResult, MatmulAlgorithm, record_lowering
+from .base import MatmulAlgorithm, stamp_padded
 from .kernels import addition_cost, leaf_gemm_cost
 from .traffic import streaming_traffic
 
@@ -98,10 +103,11 @@ class CapsStrassen(MatmulAlgorithm):
     name = "caps"
     display_name = "CAPS"
 
-    #: BFS children needing packed operand blocks: child index -> count
-    #: (p1 = A11*B11 and p2 = A12*B21 pack both factors; p3/p4 pack the
-    #: one raw factor; p5-p7 multiply already-contiguous S/T buffers).
-    _PACK_BLOCKS = {0: 2, 1: 2, 2: 1, 3: 1}
+    #: BFS children needing packed operand blocks: child index -> the
+    #: factors (0 = A, 1 = B) it packs (p1 = A11*B11 and p2 = A12*B21
+    #: pack both; p3 packs its B22, p4 its A22; p5-p7 multiply
+    #: already-contiguous S/T buffers).
+    _PACKED_FACTORS = {0: (0, 1), 1: (0, 1), 2: (1,), 3: (0,)}
 
     def __init__(
         self,
@@ -204,63 +210,32 @@ class CapsStrassen(MatmulAlgorithm):
 
     # ---- lowering --------------------------------------------------------
 
-    def build(
-        self, n: int, threads: int, seed: int = 0, execute: bool = True
-    ) -> BuildResult:
-        """Lower to the BFS/DFS hybrid task graph."""
-        require_positive(threads, "threads")
-        self.check_memory(n)
-        a, b, c = self._operands(n, seed, execute)
+    def _stability(self, n: int) -> tuple[str, int]:
+        return "winograd", self.leaf_cutoff
+
+    def _lower(self, n: int, threads: int, operands: tuple | None) -> TaskArena:
+        """Stamp the BFS/DFS hybrid task graph."""
         m = self.padded_n(n)
-
-        ap = bp = cp = None
-        if execute:
-            if m == n:
-                # No padding needed (n is already a power of two, or the
-                # whole problem fits in one leaf).  Operate in place —
-                # padding here would hand the leaves m x m operand views
-                # with an n x n output.
-                ap, bp, cp = a, b, c
-            else:
-                ap, _ = pad_to_power_of_two(a)
-                bp, _ = pad_to_power_of_two(b)
-                cp = np.zeros((m, m), dtype=np.float64)
-
-        omp = OpenMP(f"caps[n={n}]", threads)
-        self._threads = threads
-        terminal = self._recurse(omp, ap, bp, cp, m, depth=0, deps=(), execute=execute)
-        if execute and m != n:
-
-            def unpad():
-                c[:, :] = cp[:n, :n]
-
-            omp.task(
-                "unpad",
-                addition_cost(n, 1, self.machine, self.add_locality),
-                deps=[terminal],
-                compute=unpad,
-            )
-
-        return BuildResult(
-            graph=omp.graph,
-            n=n,
-            a=a,
-            b=b,
-            c=c,
-            variant="winograd",
-            cutoff=self.leaf_cutoff,
+        return stamp_padded(
+            self._interner,
+            f"caps[n={n}]",
+            self._arena_template(m, 0, threads),
+            n,
+            m,
+            operands,
+            lambda a, b, c, out: self._kernels(a, b, c, m, 0, threads, out),
+            addition_cost(n, 1, self.machine, self.add_locality),
         )
 
-    # ---- templated lowering (arena path) --------------------------------
-
     def _arena_template(self, s: int, depth: int, threads: int) -> SubtreeTemplate:
-        """Relocatable template of the subtree at *(s, depth)*.
+        """Relocatable template of the subtree at *(s, depth)* —
+        Algorithm 2's dispatch: a leaf, a BFS step while ``depth <
+        cutoff_depth``, else a DFS step.
 
         Memoized by ``(s, min(depth, cutoff_depth), threads)``: beyond
         the BFS/DFS switch the structure depends only on *s*, and the
-        DFS work-sharing chunk count depends on *threads*.  Emission
-        order mirrors :meth:`_recurse` / :meth:`_bfs_step` /
-        :meth:`_dfs_step` exactly.
+        DFS work-sharing chunk count depends on *threads*.
+        :meth:`_kernels` walks the same emission order.
         """
         key = (s, min(depth, self.cutoff_depth), threads)
         tpl = self._tpl_memo.get(key)
@@ -309,10 +284,10 @@ class CapsStrassen(MatmulAlgorithm):
             [ts3, tt3],
         ]
         if self.pack:
-            for idx, n_blocks in self._PACK_BLOCKS.items():
+            for idx, factors in self._PACKED_FACTORS.items():
                 pack_task = tb.emit(
                     f"bfs-pack{idx + 1}/{s}",
-                    self._pack_cost(h, n_blocks),
+                    self._pack_cost(h, len(factors)),
                     dep_lists[idx],
                 )
                 dep_lists[idx] = [pack_task]
@@ -356,302 +331,111 @@ class CapsStrassen(MatmulAlgorithm):
             threads,
         )
 
-    def build_arena(self, n: int, threads: int, seed: int = 0) -> BuildResult:
-        """Cost-only lowering straight to a :class:`TaskArena` via
-        template stamping."""
-        require_positive(threads, "threads")
-        require_positive(n, "n")
-        self.check_memory(n)
-        with trace.span("lower_arena", alg=self.name, n=n, threads=threads):
-            m = self.padded_n(n)
-            self._threads = threads
-            tb = TemplateBuilder(self._interner)
-            tb.splice(self._arena_template(m, 0, threads), ext=())
-            return record_lowering(
-                BuildResult(
-                    graph=tb.to_arena(f"caps[n={n}]"),
-                    n=n,
-                    a=None,
-                    b=None,
-                    c=None,
-                    variant="winograd",
-                    cutoff=self.leaf_cutoff,
-                )
-            )
+    # ---- kernels (executed builds) -------------------------------------
 
-    def _recurse(self, omp, av, bv, cw, s, depth, deps, execute) -> Task:
-        """Algorithm 2: choose BFS or DFS per level."""
+    def _kernels(self, av, bv, cw, s, depth, threads, out: list) -> None:
+        """Append the closures computing ``cw = av @ bv`` for the
+        subtree at *(s, depth)*, one per row of
+        :meth:`_arena_template` in its emission order."""
         if s <= self.leaf_cutoff:
-            cost = leaf_gemm_cost(
-                s, self.machine, self.leaf_efficiency, self.leaf_locality
-            )
-            compute = None
-            if execute:
 
-                def compute(av=av, bv=bv, cw=cw):
-                    cw[:, :] = av @ bv
+            def leaf():
+                cw[:, :] = av @ bv
 
-            return omp.task(f"leaf/{s}", cost, deps, compute)
+            out.append(leaf)
+        elif depth < self.cutoff_depth:
+            self._bfs_kernels(av, bv, cw, s, depth, threads, out)
+        elif s <= self.dfs_grain:
+            # One work-shared stage over the whole remaining sub-tree:
+            # chunk 0 computes it, the other chunks and the join idle.
+            def whole():
+                cw[:, :] = winograd_product(av, bv, self.leaf_cutoff)
 
-        if depth < self.cutoff_depth:
-            return self._bfs_step(omp, av, bv, cw, s, depth, deps, execute)
-        return self._dfs_step(omp, av, bv, cw, s, depth, deps, execute)
-
-    # ---- BFS: task-parallel with precise dependencies --------------------
-
-    def _bfs_step(self, omp, av, bv, cw, s, depth, deps, execute) -> Task:
-        h = s // 2
-        bufs: dict[str, np.ndarray] = {}
-        if execute:
-            names = ["s1", "s2", "s3", "s4", "t1", "t2", "t3", "t4"] + [
-                f"p{i}" for i in range(1, 8)
-            ]
-            bufs = {name: np.empty((h, h), dtype=np.float64) for name in names}
-            a11, a12 = av[:h, :h], av[:h, h:]
-            a21, a22 = av[h:, :h], av[h:, h:]
-            b11, b12 = bv[:h, :h], bv[:h, h:]
-            b21, b22 = bv[h:, :h], bv[h:, h:]
-
-        one_add = addition_cost(h, 1, self.machine, self.add_locality)
-
-        def add_task(name: str, dep_list, fn: Callable | None) -> Task:
-            return omp.task(f"{name}/{s}", one_add, dep_list, fn if execute else None)
-
-        # Pre-addition chains: s1 -> s2 -> s4; s3; t1 -> t2 -> t4; t3.
-        f = (
-            {
-                "s1": lambda: np.add(a21, a22, out=bufs["s1"]),
-                "s2": lambda: np.subtract(bufs["s1"], a11, out=bufs["s2"]),
-                "s3": lambda: np.subtract(a11, a21, out=bufs["s3"]),
-                "s4": lambda: np.subtract(a12, bufs["s2"], out=bufs["s4"]),
-                "t1": lambda: np.subtract(b12, b11, out=bufs["t1"]),
-                "t2": lambda: np.subtract(b22, bufs["t1"], out=bufs["t2"]),
-                "t3": lambda: np.subtract(b22, b12, out=bufs["t3"]),
-                "t4": lambda: np.subtract(bufs["t2"], b21, out=bufs["t4"]),
-            }
-            if execute
-            else {k: None for k in ("s1", "s2", "s3", "s4", "t1", "t2", "t3", "t4")}
-        )
-        ts1 = add_task("bfs-s1", deps, f["s1"])
-        ts2 = add_task("bfs-s2", [ts1], f["s2"])
-        ts3 = add_task("bfs-s3", deps, f["s3"])
-        ts4 = add_task("bfs-s4", [ts2], f["s4"])
-        tt1 = add_task("bfs-t1", deps, f["t1"])
-        tt2 = add_task("bfs-t2", [tt1], f["t2"])
-        tt3 = add_task("bfs-t3", deps, f["t3"])
-        tt4 = add_task("bfs-t4", [tt2], f["t4"])
-
-        if execute:
-            operands = [
-                (a11, b11, bufs["p1"], list(deps)),
-                (a12, b21, bufs["p2"], list(deps)),
-                (bufs["s4"], b22, bufs["p3"], [ts4]),
-                (a22, bufs["t4"], bufs["p4"], [tt4]),
-                (bufs["s1"], bufs["t1"], bufs["p5"], [ts1, tt1]),
-                (bufs["s2"], bufs["t2"], bufs["p6"], [ts2, tt2]),
-                (bufs["s3"], bufs["t3"], bufs["p7"], [ts3, tt3]),
-            ]
+            out += [whole] + [None] * threads
         else:
-            operands = [
-                (None, None, None, list(deps)),
-                (None, None, None, list(deps)),
-                (None, None, None, [ts4]),
-                (None, None, None, [tt4]),
-                (None, None, None, [ts1, tt1]),
-                (None, None, None, [ts2, tt2]),
-                (None, None, None, [ts3, tt3]),
-            ]
+            self._dfs_kernels(av, bv, cw, s, depth, threads, out)
 
+    def _bfs_kernels(self, av, bv, cw, s, depth, threads, out: list) -> None:
+        """s1..t4, the pack rows, seven children, u, c11..c22, then the
+        unpack (or closure-less join) row."""
+        h = s // 2
+        a11, a12, a21, a22 = split_quadrants(av)
+        b11, b12, b21, b22 = split_quadrants(bv)
+        st = [np.empty((h, h)) for _ in range(8)]
+        s1, s2, s3, s4, t1, t2, t3, t4 = st
+        p = [np.empty((h, h)) for _ in range(7)]
+        # Pre-addition chains: s1 -> s2 -> s4; s3; t1 -> t2 -> t4; t3.
+        out += [
+            lambda: np.add(a21, a22, out=s1),
+            lambda: np.subtract(s1, a11, out=s2),
+            lambda: np.subtract(a11, a21, out=s3),
+            lambda: np.subtract(a12, s2, out=s4),
+            lambda: np.subtract(b12, b11, out=t1),
+            lambda: np.subtract(b22, t1, out=t2),
+            lambda: np.subtract(b22, b12, out=t3),
+            lambda: np.subtract(t2, b21, out=t4),
+        ]
+        operands = [list(pair) for pair in winograd_factors(av, bv, st)]
         if self.pack:
             # Copy raw operand quadrants into private contiguous buffers
             # before the affected children run (communication avoidance:
-            # pay local copies, save channel traffic).  p1/p2 pack both
-            # factors, p3 its B factor (b22), p4 its A factor (a22);
-            # p5-p7 consume S/T buffers that are already contiguous.
-            operands = [list(op) for op in operands]
-            for idx, n_blocks in self._PACK_BLOCKS.items():
-                pa, pb, _pc, dep_list = operands[idx]
-                pack_a = idx in (0, 1, 3)
-                pack_b = idx in (0, 1, 2)
-                pack_compute = None
-                if execute:
-                    new_a = np.empty((h, h), dtype=np.float64) if pack_a else pa
-                    new_b = np.empty((h, h), dtype=np.float64) if pack_b else pb
+            # pay local copies, save channel traffic).
+            for idx, factors in self._PACKED_FACTORS.items():
+                pairs = [
+                    (operands[idx][k], np.empty((h, h), dtype=np.float64))
+                    for k in factors
+                ]
 
-                    def pack_compute(
-                        src_a=pa, src_b=pb, dst_a=new_a, dst_b=new_b,
-                        pack_a=pack_a, pack_b=pack_b,
-                    ):
-                        if pack_a:
-                            dst_a[:, :] = src_a
-                        if pack_b:
-                            dst_b[:, :] = src_b
+                def pack(pairs=pairs):
+                    for src, dst in pairs:
+                        dst[:, :] = src
 
-                    operands[idx][0] = new_a
-                    operands[idx][1] = new_b
-                pack_task = omp.task(
-                    f"bfs-pack{idx + 1}/{s}",
-                    self._pack_cost(h, n_blocks),
-                    dep_list,
-                    pack_compute,
-                )
-                operands[idx][3] = [pack_task]
-            operands = [tuple(op) for op in operands]
+                out.append(pack)
+                for k, (_, dst) in zip(factors, pairs):
+                    operands[idx][k] = dst
+        for (pa, pb), pc in zip(operands, p):
+            self._kernels(pa, pb, pc, h, depth + 1, threads, out)
+        u2, u3, u4 = [np.empty((h, h)) for _ in range(3)]
 
-        kids = [
-            self._recurse(omp, pa, pb, pc, h, depth + 1, tuple(d), execute)
-            for pa, pb, pc, d in operands
+        def u():
+            np.add(p[0], p[5], out=u2)
+            np.add(u2, p[6], out=u3)
+            np.add(u2, p[4], out=u4)
+
+        # With packing the results land in private buffers first and the
+        # unpack row redistributes them into C's layout.
+        if self.pack:
+            c_blocks = [np.empty((h, h)) for _ in range(4)]
+        else:
+            c_blocks = split_quadrants(cw)
+        c11, c12, c21, c22 = c_blocks
+        out += [
+            u,
+            lambda: np.add(p[0], p[1], out=c11),
+            lambda: np.add(u4, p[2], out=c12),
+            lambda: np.subtract(u3, p[3], out=c21),
+            lambda: np.add(u3, p[4], out=c22),
         ]
-
-        # Post additions: U chain then the four output blocks.
-        u_cost = addition_cost(h, 3, self.machine, self.add_locality)
-        u_bufs: dict[str, np.ndarray] = {}
-        u_compute = None
-        if execute:
-            u_bufs = {k: np.empty((h, h), dtype=np.float64) for k in ("u2", "u3", "u4")}
-
-            def u_compute():
-                np.add(bufs["p1"], bufs["p6"], out=u_bufs["u2"])
-                np.add(u_bufs["u2"], bufs["p7"], out=u_bufs["u3"])
-                np.add(u_bufs["u2"], bufs["p5"], out=u_bufs["u4"])
-
-        tu = omp.task(
-            f"bfs-u/{s}", u_cost, [kids[0], kids[4], kids[5], kids[6]], u_compute
-        )
-
-        if self.pack and execute:
-            # Results land in private buffers first, then get
-            # redistributed to the canonical layout by the unpack task.
-            c_dst = {k: np.empty((h, h), dtype=np.float64) for k in ("c11", "c12", "c21", "c22")}
-        elif execute:
-            c_dst = {
-                "c11": cw[:h, :h],
-                "c12": cw[:h, h:],
-                "c21": cw[h:, :h],
-                "c22": cw[h:, h:],
-            }
-        if execute:
-            c_ops = [
-                ("c11", [kids[0], kids[1]], lambda: np.add(bufs["p1"], bufs["p2"], out=c_dst["c11"])),
-                ("c12", [tu, kids[2]], lambda: np.add(u_bufs["u4"], bufs["p3"], out=c_dst["c12"])),
-                ("c21", [tu, kids[3]], lambda: np.subtract(u_bufs["u3"], bufs["p4"], out=c_dst["c21"])),
-                ("c22", [tu, kids[4]], lambda: np.add(u_bufs["u3"], bufs["p5"], out=c_dst["c22"])),
-            ]
-        else:
-            c_ops = [
-                ("c11", [kids[0], kids[1]], None),
-                ("c12", [tu, kids[2]], None),
-                ("c21", [tu, kids[3]], None),
-                ("c22", [tu, kids[4]], None),
-            ]
-        c_tasks = [add_task(f"bfs-{name}", dep_list, fn) for name, dep_list, fn in c_ops]
         if not self.pack:
-            return omp.taskwait(c_tasks, name=f"bfs-join/{s}")
-        # Redistribute the four result blocks back into C's layout.
-        unpack_compute = None
-        if execute:
+            out.append(None)
+            return
 
-            def unpack_compute():
-                cw[:h, :h] = c_dst["c11"]
-                cw[:h, h:] = c_dst["c12"]
-                cw[h:, :h] = c_dst["c21"]
-                cw[h:, h:] = c_dst["c22"]
+        def unpack():
+            for dst, src in zip(split_quadrants(cw), c_blocks):
+                dst[:, :] = src
 
-        return omp.task(
-            f"bfs-unpack/{s}", self._pack_cost(h, 4), c_tasks, unpack_compute
-        )
+        out.append(unpack)
 
-    # ---- DFS: sequential sub-problems, work-shared loops ------------------
-
-    def _dfs_step(self, omp, av, bv, cw, s, depth, deps, execute) -> Task:
+    def _dfs_kernels(self, av, bv, cw, s, depth, threads, out: list) -> None:
+        """Work-shared pre chunks plus join, the seven children in
+        sequence, work-shared post chunks plus join."""
         h = s // 2
-        threads = self._threads
-
-        if s <= self.dfs_grain:
-            # Work-shared stage over the whole remaining sub-tree.
-            cost = self.subtree_cost(s)
-            computes = None
-            if execute:
-
-                def whole(av=av, bv=bv, cw=cw):
-                    cw[:, :] = winograd_product(av, bv, self.leaf_cutoff)
-
-                computes = [whole] + [None] * (threads - 1)
-            return omp.parallel_for(
-                f"dfs-grain/{s}", cost, deps, chunks=threads, chunk_computes=computes
-            )
-
-        bufs: dict[str, np.ndarray] = {}
-        if execute:
-            names = ["s1", "s2", "s3", "s4", "t1", "t2", "t3", "t4"] + [
-                f"p{i}" for i in range(1, 8)
-            ]
-            bufs = {name: np.empty((h, h), dtype=np.float64) for name in names}
-            a11, a12 = av[:h, :h], av[:h, h:]
-            a21, a22 = av[h:, :h], av[h:, h:]
-            b11, b12 = bv[:h, :h], bv[:h, h:]
-            b21, b22 = bv[h:, :h], bv[h:, h:]
-
-        # Pre additions: one work-shared loop computing all S/T rows.
-        pre_cost = addition_cost(h, 8, self.machine, self.add_locality)
-        pre_computes = None
-        if execute:
-            pre_computes = []
-            for r0, r1 in _row_ranges(h, threads):
-
-                def chunk(r0=r0, r1=r1):
-                    np.add(a21[r0:r1], a22[r0:r1], out=bufs["s1"][r0:r1])
-                    np.subtract(bufs["s1"][r0:r1], a11[r0:r1], out=bufs["s2"][r0:r1])
-                    np.subtract(a11[r0:r1], a21[r0:r1], out=bufs["s3"][r0:r1])
-                    np.subtract(a12[r0:r1], bufs["s2"][r0:r1], out=bufs["s4"][r0:r1])
-                    np.subtract(b12[r0:r1], b11[r0:r1], out=bufs["t1"][r0:r1])
-                    np.subtract(b22[r0:r1], bufs["t1"][r0:r1], out=bufs["t2"][r0:r1])
-                    np.subtract(b22[r0:r1], b12[r0:r1], out=bufs["t3"][r0:r1])
-                    np.subtract(bufs["t2"][r0:r1], b21[r0:r1], out=bufs["t4"][r0:r1])
-
-                pre_computes.append(chunk)
-            pre_computes += [None] * (threads - len(pre_computes))
-        pre = omp.parallel_for(
-            f"dfs-pre/{s}", pre_cost, deps, chunks=threads, chunk_computes=pre_computes
-        )
-
+        st = [np.empty((h, h)) for _ in range(8)]
+        p = [np.empty((h, h)) for _ in range(7)]
+        rows = [slice(r0, r1) for r0, r1 in _row_ranges(h, threads)]
+        idle = [None] * (threads - len(rows) + 1)  # idle chunks + join
+        out += [partial(winograd_pre, av, bv, st, r) for r in rows] + idle
         # Seven sub-problems in sequence, each fully work-shared inside.
-        if execute:
-            pairs = [
-                (a11, b11, bufs["p1"]),
-                (a12, b21, bufs["p2"]),
-                (bufs["s4"], b22, bufs["p3"]),
-                (a22, bufs["t4"], bufs["p4"]),
-                (bufs["s1"], bufs["t1"], bufs["p5"]),
-                (bufs["s2"], bufs["t2"], bufs["p6"]),
-                (bufs["s3"], bufs["t3"], bufs["p7"]),
-            ]
-        else:
-            pairs = [(None, None, None)] * 7
-        prev: Task = pre
-        for i, (pa, pb, pc) in enumerate(pairs, start=1):
-            prev = self._recurse(
-                omp, pa, pb, pc, h, depth + 1, (prev,), execute
-            )
-
-        # Post additions: one work-shared loop (row-wise U chain + C).
-        post_cost = addition_cost(h, 7, self.machine, self.add_locality)
-        post_computes = None
-        if execute:
-            post_computes = []
-            for r0, r1 in _row_ranges(h, threads):
-
-                def chunk(r0=r0, r1=r1):
-                    u2 = bufs["p1"][r0:r1] + bufs["p6"][r0:r1]
-                    u3 = u2 + bufs["p7"][r0:r1]
-                    u4 = u2 + bufs["p5"][r0:r1]
-                    np.add(bufs["p1"][r0:r1], bufs["p2"][r0:r1], out=cw[r0:r1, :h])
-                    np.add(u4, bufs["p3"][r0:r1], out=cw[r0:r1, h:])
-                    np.subtract(u3, bufs["p4"][r0:r1], out=cw[h + r0 : h + r1, :h])
-                    np.add(u3, bufs["p5"][r0:r1], out=cw[h + r0 : h + r1, h:])
-
-                post_computes.append(chunk)
-            post_computes += [None] * (threads - len(post_computes))
-        return omp.parallel_for(
-            f"dfs-post/{s}", post_cost, [prev], chunks=threads, chunk_computes=post_computes
-        )
+        for (pa, pb), pc in zip(winograd_factors(av, bv, st), p):
+            self._kernels(pa, pb, pc, h, depth + 1, threads, out)
+        out += [partial(winograd_post, p, cw, r) for r in rows] + idle

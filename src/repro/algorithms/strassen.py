@@ -24,14 +24,18 @@ instead, used by the ablation benchmarks.
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
-from ..linalg.dense import pad_to_power_of_two, working_set_bytes
+from ..linalg.dense import split_quadrants, working_set_bytes
 from ..linalg.fastmm import (
     classic_strassen_product,
+    peel_borders,
     recursion_depth,
+    winograd_factors,
+    winograd_post,
+    winograd_pre,
     winograd_product,
     winograd_product_peeled,
 )
@@ -39,22 +43,19 @@ from ..machine.specs import MachineSpec
 from ..runtime.arena import (
     EXT_CREATOR,
     EXT_DEP,
-    NO_CREATOR,
     NameInterner,
     SubtreeTemplate,
+    TaskArena,
     TemplateBuilder,
 )
 from ..runtime.cost import TaskCost
-from ..runtime.openmp import OpenMP
-from ..runtime.task import Task
 from ..util.errors import ConfigurationError
 from ..util.validation import (
     next_power_of_two,
     require_fraction,
     require_positive,
 )
-from ..observability import trace
-from .base import BuildResult, MatmulAlgorithm, record_lowering
+from .base import MatmulAlgorithm, stamp_padded
 from .kernels import addition_cost, leaf_gemm_cost
 
 __all__ = ["StrassenWinograd"]
@@ -244,45 +245,22 @@ class StrassenWinograd(MatmulAlgorithm):
 
     # ---- lowering --------------------------------------------------------
 
-    def build(
-        self, n: int, threads: int, seed: int = 0, execute: bool = True
-    ) -> BuildResult:
-        """Lower to a BOTS-style task graph (pre -> 7 children -> post)."""
-        require_positive(threads, "threads")
-        self.check_memory(n)
-        a, b, c = self._operands(n, seed, execute)
+    def _stability(self, n: int) -> tuple[str, int]:
+        return self.variant, self.cutoff
+
+    def _lower(self, n: int, threads: int, operands: tuple | None) -> TaskArena:
+        """Stamp the BOTS-style task graph (pre -> 7 children -> post)."""
         m = self.padded_n(n)
-
-        ap = bp = cp = None
-        if execute:
-            if self.odd_strategy == "peel" or m == n:
-                ap, bp, cp = a, b, c
-            else:
-                ap, _ = pad_to_power_of_two(a)
-                bp, _ = pad_to_power_of_two(b)
-                cp = np.zeros((m, m), dtype=np.float64)
-
-        omp = OpenMP(f"{self.name}[n={n}]", threads)
-        terminal = self._recurse(omp, ap, bp, cp, m, deps=(), execute=execute)
-        if execute and m != n:
-            # Copy the valid region of the padded product back out.
-            def unpad():
-                c[:, :] = cp[:n, :n]
-
-            omp.task("unpad", addition_cost(n, 1, self.machine, self.add_locality),
-                     deps=[terminal], compute=unpad)
-
-        return BuildResult(
-            graph=omp.graph,
-            n=n,
-            a=a,
-            b=b,
-            c=c,
-            variant=self.variant,
-            cutoff=self.cutoff,
+        return stamp_padded(
+            self._interner,
+            f"{self.name}[n={n}]",
+            self._arena_template(m),
+            n,
+            m,
+            operands,
+            lambda a, b, c, out: self._kernels(a, b, c, m, out),
+            addition_cost(n, 1, self.machine, self.add_locality),
         )
-
-    # ---- templated lowering (arena path) --------------------------------
 
     def _arena_template(self, s: int) -> SubtreeTemplate:
         """Relocatable template of the subtree at dimension *s*.
@@ -291,9 +269,8 @@ class StrassenWinograd(MatmulAlgorithm):
         *s* stamps seven copies of the template at ``s/2`` (array
         copies) plus the pre/post rows, so a full lowering costs
         ``O(depth)`` template builds instead of ``O(7^depth)`` Python
-        ``Task`` constructions.  Emission order mirrors
-        :meth:`_recurse` exactly, which makes the stamped arena
-        bit-identical to ``TaskArena.from_graph(build(execute=False))``.
+        task constructions.  :meth:`_kernels` walks the same emission
+        order.
         """
         tpl = self._tpl_memo.get(s)
         if tpl is not None:
@@ -340,224 +317,84 @@ class StrassenWinograd(MatmulAlgorithm):
         self._tpl_memo[s] = tpl
         return tpl
 
-    def build_arena(self, n: int, threads: int, seed: int = 0) -> BuildResult:
-        """Cost-only lowering straight to a :class:`TaskArena` via
-        template stamping (no ``Task`` objects, no closures)."""
-        require_positive(threads, "threads")
-        require_positive(n, "n")
-        self.check_memory(n)
-        with trace.span("lower_arena", alg=self.name, n=n, threads=threads):
-            m = self.padded_n(n)
-            tb = TemplateBuilder(self._interner)
-            tb.splice(self._arena_template(m), ext=(), ext_creator=NO_CREATOR)
-            return record_lowering(
-                BuildResult(
-                    graph=tb.to_arena(f"{self.name}[n={n}]"),
-                    n=n,
-                    a=None,
-                    b=None,
-                    c=None,
-                    variant=self.variant,
-                    cutoff=self.cutoff,
-                )
-            )
-
-    def _recurse(
-        self,
-        omp: OpenMP,
-        av: np.ndarray | None,
-        bv: np.ndarray | None,
-        cw: np.ndarray | None,
-        s: int,
-        deps: tuple,
-        execute: bool,
-        created_by: Task | None = None,
-    ) -> Task:
-        """Emit the sub-graph for ``cw = av @ bv`` at dimension *s*;
-        returns the terminal task."""
+    def _kernels(
+        self, av: np.ndarray, bv: np.ndarray, cw: np.ndarray, s: int, out: list
+    ) -> None:
+        """Append the closures computing ``cw = av @ bv`` at dimension
+        *s*, one per row of :meth:`_arena_template` ``(s)`` in its
+        emission order."""
         if s <= self.cutoff:
-            cost = leaf_gemm_cost(
-                s, self.machine, self.leaf_efficiency, self.leaf_locality
-            )
-            compute = None
-            if execute:
 
-                def compute(av=av, bv=bv, cw=cw):
-                    cw[:, :] = av @ bv
+            def leaf():
+                cw[:, :] = av @ bv
 
-            return omp.task(f"leaf/{s}", cost, deps, compute, created_by=created_by)
-
-        if s % 2 == 1 and s > self.grain:
-            # Dynamic peeling: recurse on the even core, then restore
-            # the borders with a GEMV/rank-1 task.
-            return self._expand_peel(omp, av, bv, cw, s, deps, execute, created_by)
-
-        if s <= self.grain:
-            cost = self.subtree_cost(s)
-            compute = None
-            if execute:
-                if self.odd_strategy == "peel":
-                    product = lambda x, y, cutoff: winograd_product_peeled(x, y, cutoff)
-                elif self.classic:
-                    product = classic_strassen_product
-                else:
-                    product = winograd_product
-
-                def compute(av=av, bv=bv, cw=cw, product=product):
-                    cw[:, :] = product(av, bv, self.cutoff)
-
-            return omp.task(f"grain/{s}", cost, deps, compute, created_by=created_by)
-
-        if self.classic:
-            return self._expand_classic(omp, av, bv, cw, s, deps, execute, created_by)
-        return self._expand_winograd(omp, av, bv, cw, s, deps, execute, created_by)
-
-    def _expand_peel(self, omp, av, bv, cw, s, deps, execute, created_by) -> Task:
-        m = s - 1
-        core = None
-        if execute:
+            out.append(leaf)
+        elif s % 2 == 1 and s > self.grain:
+            # Even core, then the GEMV/rank-1 border restoration.
+            m = s - 1
             core = np.empty((m, m), dtype=np.float64)
-        core_term = self._recurse(
-            omp,
-            av[:m, :m] if execute else None,
-            bv[:m, :m] if execute else None,
-            core,
-            m,
-            deps,
-            execute,
-            created_by,
-        )
-        peel_compute = None
-        if execute:
+            self._kernels(av[:m, :m], bv[:m, :m], core, m, out)
+            out.append(lambda: peel_borders(av, bv, core, cw))
+        elif s <= self.grain:
+            if self.odd_strategy == "peel":
+                product = winograd_product_peeled
+            elif self.classic:
+                product = classic_strassen_product
+            else:
+                product = winograd_product
 
-            def peel_compute(av=av, bv=bv, cw=cw, core=core, m=m):
-                cw[:m, :m] = core + np.outer(av[:m, m], bv[m, :m])
-                cw[:m, m] = av[:m, :m] @ bv[:m, m] + av[:m, m] * bv[m, m]
-                cw[m, :m] = av[m, :m] @ bv[:m, :m] + av[m, m] * bv[m, :m]
-                cw[m, m] = av[m, :m] @ bv[:m, m] + av[m, m] * bv[m, m]
+            def grain():
+                cw[:, :] = product(av, bv, self.cutoff)
 
-        return omp.task(
-            f"peel/{s}", self._peel_cost(m), [core_term], peel_compute,
-            created_by=created_by,
-        )
-
-    # ---- node expansions -------------------------------------------------
-
-    def _expand_winograd(self, omp, av, bv, cw, s, deps, execute, created_by=None) -> Task:
-        h = s // 2
-        bufs = {}
-        if execute:
-            names = ["s1", "s2", "s3", "s4", "t1", "t2", "t3", "t4"] + [
-                f"p{i}" for i in range(1, 8)
-            ]
-            bufs = {name: np.empty((h, h), dtype=np.float64) for name in names}
-
-        pre_cost = addition_cost(h, self.pre_adds, self.machine, self.add_locality)
-        pre_compute = None
-        if execute:
-            a11, a12 = av[:h, :h], av[:h, h:]
-            a21, a22 = av[h:, :h], av[h:, h:]
-            b11, b12 = bv[:h, :h], bv[:h, h:]
-            b21, b22 = bv[h:, :h], bv[h:, h:]
-
-            def pre_compute(bufs=bufs):
-                np.add(a21, a22, out=bufs["s1"])
-                np.subtract(bufs["s1"], a11, out=bufs["s2"])
-                np.subtract(a11, a21, out=bufs["s3"])
-                np.subtract(a12, bufs["s2"], out=bufs["s4"])
-                np.subtract(b12, b11, out=bufs["t1"])
-                np.subtract(b22, bufs["t1"], out=bufs["t2"])
-                np.subtract(b22, b12, out=bufs["t3"])
-                np.subtract(bufs["t2"], b21, out=bufs["t4"])
-
-        pre = omp.task(f"pre/{s}", pre_cost, deps, pre_compute, created_by=created_by)
-
-        if execute:
-            pairs = [
-                (a11, b11, bufs["p1"]),
-                (a12, b21, bufs["p2"]),
-                (bufs["s4"], b22, bufs["p3"]),
-                (a22, bufs["t4"], bufs["p4"]),
-                (bufs["s1"], bufs["t1"], bufs["p5"]),
-                (bufs["s2"], bufs["t2"], bufs["p6"]),
-                (bufs["s3"], bufs["t3"], bufs["p7"]),
-            ]
+            out.append(grain)
         else:
-            pairs = [(None, None, None)] * 7
-        children = [
-            self._recurse(omp, pa, pb, pc, h, (pre,), execute, created_by=pre)
-            for pa, pb, pc in pairs
-        ]
+            node = _classic_node if self.classic else _winograd_node
+            pre, pairs, post = node(av, bv, cw, s // 2)
+            out.append(pre)
+            for pa, pb, pc in pairs:
+                self._kernels(pa, pb, pc, s // 2, out)
+            out.append(post)
 
-        post_cost = addition_cost(h, self.post_adds, self.machine, self.add_locality)
-        post_compute = None
-        if execute:
 
-            def post_compute(bufs=bufs, cw=cw, h=h):
-                u2 = bufs["p1"] + bufs["p6"]
-                u3 = u2 + bufs["p7"]
-                u4 = u2 + bufs["p5"]
-                np.add(bufs["p1"], bufs["p2"], out=cw[:h, :h])
-                np.add(u4, bufs["p3"], out=cw[:h, h:])
-                np.subtract(u3, bufs["p4"], out=cw[h:, :h])
-                np.add(u3, bufs["p5"], out=cw[h:, h:])
+def _winograd_node(av, bv, cw, h):
+    """Winograd node at half-size *h*: the pre closure (8 adds), the
+    seven ``(A, B, C)`` child products and the post closure (7 adds)."""
+    st = [np.empty((h, h)) for _ in range(8)]
+    p = [np.empty((h, h)) for _ in range(7)]
+    pairs = [(x, y, z) for (x, y), z in zip(winograd_factors(av, bv, st), p)]
+    return partial(winograd_pre, av, bv, st), pairs, partial(winograd_post, p, cw)
 
-        return omp.task(f"post/{s}", post_cost, children, post_compute, created_by=created_by)
 
-    def _expand_classic(self, omp, av, bv, cw, s, deps, execute, created_by=None) -> Task:
-        h = s // 2
-        bufs = {}
-        if execute:
-            names = [f"l{i}" for i in range(1, 8)] + [f"r{i}" for i in range(1, 8)]
-            names += [f"q{i}" for i in range(1, 8)]
-            bufs = {name: np.empty((h, h), dtype=np.float64) for name in names}
+def _classic_node(av, bv, cw, h):
+    """Classic Strassen node (paper Eq. 7, corrected) at half-size *h*:
+    the pre closure forming the seven left/right factors, the seven
+    child products and the post closure (8 adds)."""
+    a11, a12, a21, a22 = split_quadrants(av)
+    b11, b12, b21, b22 = split_quadrants(bv)
+    left = [np.empty((h, h)) for _ in range(7)]
+    right = [np.empty((h, h)) for _ in range(7)]
+    q = [np.empty((h, h)) for _ in range(7)]
 
-        pre_cost = addition_cost(h, self.pre_adds, self.machine, self.add_locality)
-        pre_compute = None
-        if execute:
-            a11, a12 = av[:h, :h], av[:h, h:]
-            a21, a22 = av[h:, :h], av[h:, h:]
-            b11, b12 = bv[:h, :h], bv[:h, h:]
-            b21, b22 = bv[h:, :h], bv[h:, h:]
+    def pre():
+        np.add(a11, a22, out=left[0])
+        np.add(a21, a22, out=left[1])
+        left[2][:, :] = a11
+        left[3][:, :] = a22
+        np.add(a11, a12, out=left[4])
+        np.subtract(a21, a11, out=left[5])
+        np.subtract(a12, a22, out=left[6])
+        np.add(b11, b22, out=right[0])
+        right[1][:, :] = b11
+        np.subtract(b12, b22, out=right[2])
+        np.subtract(b21, b11, out=right[3])
+        right[4][:, :] = b22
+        np.add(b11, b12, out=right[5])
+        np.add(b21, b22, out=right[6])
 
-            def pre_compute(bufs=bufs):
-                # Left factors (paper Eq. 7, corrected).
-                np.add(a11, a22, out=bufs["l1"])
-                np.add(a21, a22, out=bufs["l2"])
-                bufs["l3"][:, :] = a11
-                bufs["l4"][:, :] = a22
-                np.add(a11, a12, out=bufs["l5"])
-                np.subtract(a21, a11, out=bufs["l6"])
-                np.subtract(a12, a22, out=bufs["l7"])
-                # Right factors.
-                np.add(b11, b22, out=bufs["r1"])
-                bufs["r2"][:, :] = b11
-                np.subtract(b12, b22, out=bufs["r3"])
-                np.subtract(b21, b11, out=bufs["r4"])
-                bufs["r5"][:, :] = b22
-                np.add(b11, b12, out=bufs["r6"])
-                np.add(b21, b22, out=bufs["r7"])
+    def post():
+        cw[:h, :h] = q[0] + q[3] - q[4] + q[6]
+        cw[:h, h:] = q[2] + q[4]
+        cw[h:, :h] = q[1] + q[3]
+        cw[h:, h:] = q[0] - q[1] + q[2] + q[5]
 
-        pre = omp.task(f"pre/{s}", pre_cost, deps, pre_compute, created_by=created_by)
-
-        if execute:
-            pairs = [(bufs[f"l{i}"], bufs[f"r{i}"], bufs[f"q{i}"]) for i in range(1, 8)]
-        else:
-            pairs = [(None, None, None)] * 7
-        children = [
-            self._recurse(omp, pa, pb, pc, h, (pre,), execute, created_by=pre)
-            for pa, pb, pc in pairs
-        ]
-
-        post_cost = addition_cost(h, self.post_adds, self.machine, self.add_locality)
-        post_compute = None
-        if execute:
-
-            def post_compute(bufs=bufs, cw=cw, h=h):
-                q = {i: bufs[f"q{i}"] for i in range(1, 8)}
-                cw[:h, :h] = q[1] + q[4] - q[5] + q[7]
-                cw[:h, h:] = q[3] + q[5]
-                cw[h:, :h] = q[2] + q[4]
-                cw[h:, h:] = q[1] - q[2] + q[3] + q[6]
-
-        return omp.task(f"post/{s}", post_cost, children, post_compute, created_by=created_by)
+    return pre, list(zip(left, right, q)), post

@@ -44,7 +44,7 @@ __all__ = [
     "PAPER_SIZES",
     "PAPER_THREADS",
     "TRANSPORTS",
-    "prebuild_arena_cell",
+    "prebuild_cell",
 ]
 
 #: Arena transports the parallel driver accepts: ``"auto"`` prefers
@@ -438,7 +438,7 @@ class EnergyPerformanceStudy:
         )
 
     def _prebuild(self, alg: MatmulAlgorithm, n: int, threads: int):
-        return prebuild_arena_cell(
+        return prebuild_cell(
             alg,
             n,
             threads,
@@ -584,7 +584,7 @@ class EnergyPerformanceStudy:
                     tracer.attach(outcome[1])
 
 
-def prebuild_arena_cell(
+def prebuild_cell(
     alg: MatmulAlgorithm,
     n: int,
     threads: int,
@@ -592,30 +592,24 @@ def prebuild_arena_cell(
     seed: int,
     execute_max_n: int,
 ):
-    """Lower a cost-only cell in the dispatching process when the result
-    is a columnar arena — those pickle compactly (plain numpy columns,
-    no ``Task`` objects or closures), so shipping the build saves every
-    worker from re-lowering the same cell.  Executed cells (operand
-    arrays, closures) and object-graph lowerings stay worker-side.
+    """Lower a cost-only cell in the dispatching process — its arena
+    pickles compactly (plain numpy columns, no kernels), so shipping
+    the build saves every worker from re-lowering the same cell.
+    Executed cells (operand arrays, kernels) stay worker-side.
 
     Returns ``None`` whenever the cell should be built by the worker
     instead; shared by the parallel study driver and the study
     service's batch executor (:mod:`repro.service.executor`).
     """
-    from ..runtime.arena import TaskArena
-
     if n <= execute_max_n:
         return None
     try:
-        build = alg.build_cached(n, threads, seed=seed, execute=False)
+        return alg.build_cached(n, threads, seed=seed, execute=False)
     except Exception:
         # Let the worker hit the same failure so it surfaces with
         # the cell's coordinates via StudyCellError, not as a bare
         # dispatcher-side traceback during payload construction.
         return None
-    if build.cost_only and isinstance(build.graph, TaskArena):
-        return build
-    return None
 
 
 def _resolve_transport(requested: str | None) -> str:

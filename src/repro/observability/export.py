@@ -2,28 +2,41 @@
 ASCII phase-summary table.
 
 The Chrome export loads directly in ``chrome://tracing`` and
-``ui.perfetto.dev``: one complete (``ph: "X"``) slice per finished
-span, nested by timestamp containment on a single track, with the span
-attributes in ``args``.  Extra payload (the metrics dump, run metadata)
-rides in the top-level ``otherData`` object, which the Chrome format
-explicitly allows and ``tools/trace.py`` reads back.
+``ui.perfetto.dev``.  Two event sources share one writer
+(:func:`_write_document`) and one validator
+(:func:`validate_chrome_trace`):
+
+* observability spans — one complete (``ph: "X"``) slice per finished
+  span, nested by timestamp containment on a single track, with the
+  span attributes in ``args``.  Extra payload (the metrics dump, run
+  metadata) rides in the top-level ``otherData`` object, which the
+  Chrome format explicitly allows and ``tools/trace.py`` reads back;
+* simulated schedules (``repro trace --out``) — one row per core, one
+  slice per task, instants for zero-cost joins and an optional counter
+  track of package watts.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..util.errors import ValidationError
 from ..util.tables import TextTable
 from .metrics import MetricsRegistry, registry
 from .trace import Span, Tracer
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..power.sampling import PowerTrace
+    from ..runtime.scheduler import Schedule
+
 __all__ = [
+    "schedule_to_trace_events",
     "spans_to_chrome_events",
     "events_to_spans",
     "trace_payload",
+    "write_chrome_trace",
     "write_trace_json",
     "read_trace_json",
     "validate_chrome_trace",
@@ -86,6 +99,75 @@ def spans_to_chrome_events(
     return events
 
 
+def schedule_to_trace_events(
+    schedule: "Schedule", power: "PowerTrace | None" = None, power_samples: int = 64
+) -> list[dict]:
+    """A simulated schedule as trace-event dicts.
+
+    Complete events (``ph: "X"``) for tasks, instant events for joins,
+    and an optional ``C`` counter track sampling package watts.
+    """
+    events: list[dict] = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": 0,
+            "args": {"name": f"repro: {schedule.graph_name}"},
+        }
+    ]
+    for core in range(schedule.threads):
+        events.append(
+            {
+                "name": "thread_name",
+                "ph": "M",
+                "pid": 0,
+                "tid": core,
+                "args": {"name": f"core {core}"},
+            }
+        )
+    for rec in schedule.records:
+        if rec.core < 0:
+            events.append(
+                {
+                    "name": rec.name,
+                    "ph": "i",
+                    "s": "t",
+                    "pid": 0,
+                    "tid": 0,
+                    "ts": rec.start * _US,
+                }
+            )
+        else:
+            events.append(
+                {
+                    "name": rec.name,
+                    "ph": "X",
+                    "pid": 0,
+                    "tid": rec.core,
+                    "ts": rec.start * _US,
+                    "dur": max(rec.duration * _US, 0.001),
+                    "args": {"tid": rec.tid},
+                }
+            )
+    if power is not None and len(power):
+        from ..power.planes import Plane
+
+        if power_samples < 1:
+            raise ValidationError("power_samples must be >= 1")
+        period = max(power.duration / power_samples, 1e-12)
+        for t, watts in power.resample(period, Plane.PACKAGE):
+            events.append(
+                {
+                    "name": "package watts",
+                    "ph": "C",
+                    "pid": 0,
+                    "ts": t * _US,
+                    "args": {"W": round(watts, 3)},
+                }
+            )
+    return events
+
+
 def events_to_spans(data: "dict | Sequence[dict]") -> list[Span]:
     """Reconstruct :class:`Span` objects from a trace document.
 
@@ -139,17 +221,31 @@ def trace_payload(
     }
 
 
+def _write_document(path: "str | Path", document: dict) -> Path:
+    """The one Chrome-trace writer: *document* as JSON at *path*."""
+    path = Path(path)
+    path.write_text(json.dumps(document, indent=1) + "\n")
+    return path
+
+
 def write_trace_json(
     path: "str | Path",
     spans: "Sequence[Span | dict] | Tracer",
     metrics: MetricsRegistry | dict | None = None,
     meta: dict | None = None,
 ) -> Path:
-    """Write the Chrome-trace document to *path* and return it."""
-    path = Path(path)
-    payload = trace_payload(spans, metrics=metrics, meta=meta)
-    path.write_text(json.dumps(payload, indent=1) + "\n")
-    return path
+    """Write the spans' Chrome-trace document to *path* and return it."""
+    return _write_document(path, trace_payload(spans, metrics=metrics, meta=meta))
+
+
+def write_chrome_trace(
+    schedule: "Schedule",
+    path: "str | Path",
+    power: "PowerTrace | None" = None,
+) -> Path:
+    """Write a simulated schedule as a ``chrome://tracing`` file."""
+    events = schedule_to_trace_events(schedule, power)
+    return _write_document(path, {"traceEvents": events})
 
 
 def read_trace_json(path: "str | Path") -> dict:

@@ -21,12 +21,17 @@ from .figures import (
     fig7_figure,
 )
 from .gantt import render_gantt
-from .tracefile import schedule_to_trace_events, write_chrome_trace
 
 # Observability phase/metric tables render through the same TextTable
-# machinery as the paper tables; surfaced here so reporting is the one
-# place callers fetch tabular views from.
-from ..observability.export import metrics_table, phase_table
+# machinery as the paper tables, and schedule traces through the same
+# Chrome-trace writer as span traces; surfaced here so reporting is the
+# one place callers fetch tabular and trace views from.
+from ..observability.export import (
+    metrics_table,
+    phase_table,
+    schedule_to_trace_events,
+    write_chrome_trace,
+)
 
 __all__ = [
     "AsciiChart",

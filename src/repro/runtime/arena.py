@@ -33,8 +33,7 @@ Three layers live here:
   substitute the sentinels, fix up the per-row dependency counts.
 * conversion — ``TaskArena.from_graph`` / ``TaskArena.to_graph`` map
   between the object and columnar worlds; ``to_graph`` is what the
-  reference event kernel consumes when handed an arena, keeping the
-  object path alive as the differential oracle.
+  reference event kernel consumes when handed an arena.
 
 The arena is the one input the cost-driven event kernels price: the
 ``fast`` and ``compiled`` engines both seat tasks from the plan
@@ -42,9 +41,14 @@ The arena is the one input the cost-driven event kernels price: the
 graph reaches them through its cached ``from_graph`` conversion.  The
 plans each engine caches on an arena are named by :data:`PLAN_ATTRS`.
 
-Cost-only studies build arenas (no closures, no ``Task`` churn, cheap
-to pickle across study workers); ``execute=True`` builds keep the
-object path, whose closures cannot be columnized.
+Every matmul lowering stamps an arena.  An executed lowering also
+carries :attr:`TaskArena.kernels`, a tid-aligned list of numpy closures
+(``None`` for rows with nothing to run); it is the one place the
+engines read closures from.  ``from_graph`` fills it from
+``Task.compute`` and ``to_graph`` copies it back.  Kernels are
+process-local: pickling an arena drops them, and a shared-memory
+attach never carries them, so an ``execute=True`` run of such an arena
+fails with :class:`~repro.util.errors.SchedulingError`.
 """
 
 from __future__ import annotations
@@ -190,6 +194,9 @@ class TaskArena:
     the same way they do on a ``TaskGraph``).  Derived structures
     (successor CSR, level order, resolved name lists) are cached under
     ``_c_*`` attributes and dropped on pickling.
+
+    ``kernels`` is ``None`` for a cost-only arena, else one callable or
+    ``None`` per tid.
     """
 
     def __init__(
@@ -202,6 +209,7 @@ class TaskArena:
         created_by: np.ndarray,
         dep_indptr: np.ndarray,
         dep_indices: np.ndarray,
+        kernels: list | None = None,
     ):
         self.name = name
         self.names = names
@@ -216,6 +224,7 @@ class TaskArena:
         self.created_by = np.ascontiguousarray(created_by, dtype=np.int64)
         self.dep_indptr = np.ascontiguousarray(dep_indptr, dtype=np.int64)
         self.dep_indices = np.ascontiguousarray(dep_indices, dtype=np.int64)
+        self.kernels = kernels
         self._validated = False
 
     # ---- basic shape ---------------------------------------------------
@@ -310,18 +319,6 @@ class TaskArena:
         if out is None:
             out = [c if c >= 0 else None for c in self.created_by.tolist()]
             self._c_created_list = out
-        return out
-
-    def deps_list(self) -> list[tuple[int, ...]]:
-        """Per-task dependency tuples (cached; plain Python ints)."""
-        out = getattr(self, "_c_deps_list", None)
-        if out is None:
-            flat = self.dep_indices.tolist()
-            ptr = self.dep_indptr.tolist()
-            out = [
-                tuple(flat[ptr[i] : ptr[i + 1]]) for i in range(len(self))
-            ]
-            self._c_deps_list = out
         return out
 
     # ---- successors ----------------------------------------------------
@@ -477,7 +474,9 @@ class TaskArena:
 
     @staticmethod
     def from_graph(graph: "TaskGraph") -> "TaskArena":
-        """Columnize an object graph (costs, deps, flags bit-for-bit)."""
+        """Columnize an object graph (costs, deps, flags bit-for-bit);
+        ``kernels`` holds the tasks' ``compute`` closures, or ``None``
+        when no task has one."""
         interner = NameInterner()
         tasks = graph.tasks
         n = len(tasks)
@@ -491,6 +490,7 @@ class TaskArena:
         l1_c, l2_c = cols["bytes_l1"], cols["bytes_l2"]
         l3_c, dram_c = cols["bytes_l3"], cols["bytes_dram"]
         extend = dep_flat.extend
+        kernels = [t.compute for t in tasks]
         for i, t in enumerate(tasks):
             name_ids[i] = interner.intern(t.name)
             c = t.cost
@@ -513,13 +513,13 @@ class TaskArena:
             created_by=created,
             dep_indptr=indptr,
             dep_indices=np.asarray(dep_flat, dtype=np.int64),
+            kernels=kernels if any(k is not None for k in kernels) else None,
         )
 
     def to_graph(self) -> "TaskGraph":
-        """Materialize an object :class:`TaskGraph` (cost-only: no
-        compute closures exist in an arena).  This is the bridge to the
-        reference event kernel — the differential oracle's object path.
-        """
+        """Materialize an object :class:`TaskGraph` whose tasks carry
+        :attr:`kernels` as their ``compute`` closures.  This is the
+        bridge to the reference event kernel."""
         from .task import Task, TaskGraph
 
         self.validate()
@@ -537,12 +537,14 @@ class TaskArena:
         created = self.created_by.tolist()
         flat = self.dep_indices.tolist()
         ptr = self.dep_indptr.tolist()
+        kernels = self.kernels or [None] * len(self)
         for i in range(len(self)):
             deps = tuple(flat[ptr[i] : ptr[i + 1]])
             cost = TaskCost(flops[i], eff[i], b1[i], b2[i], b3[i], bd[i])
             cb = created[i]
             tasks.append(
-                Task(i, names[i], cost, deps, None, untied[i], cb if cb >= 0 else None)
+                Task(i, names[i], cost, deps, kernels[i], untied[i],
+                     cb if cb >= 0 else None)
             )
             succ.append([])
             for d in deps:
@@ -620,15 +622,18 @@ class TaskArena:
     def __getstate__(self) -> dict:
         """Drop derived caches (and any engine seat plan, and any
         attached shared-memory handle) — workers rebuild them lazily;
-        only the core columns cross the wire.  Pickling an shm-attached
-        arena deep-copies the columns out of the mapping, which is
-        always safe (just no longer zero-copy)."""
+        only the core columns cross the wire.  Kernels are dropped too:
+        closures over process-local operands cannot travel, so the
+        clone is cost-only.  Pickling an shm-attached arena deep-copies
+        the columns out of the mapping, which is always safe (just no
+        longer zero-copy)."""
         state = {
             k: v
             for k, v in self.__dict__.items()
             if not k.startswith("_c_")
             and k not in (*PLAN_ATTRS, "_shm")
         }
+        state["kernels"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -755,8 +760,8 @@ class TemplateBuilder:
     Scalar emissions buffer in Python lists and flush to an array
     segment whenever a splice lands; ``finish()`` concatenates all
     segments.  Local ids are handed out in emission order, exactly
-    mirroring ``TaskGraph.add``'s tid assignment — which is what makes
-    a templated lowering bit-identical to the recursive one.
+    like ``TaskGraph.add``'s tid assignment — which is what lets an
+    executed lowering align its kernel list by walking the same order.
     """
 
     def __init__(self, interner: NameInterner):
@@ -891,9 +896,10 @@ class TemplateBuilder:
             np.ascontiguousarray(counts, dtype=np.int64),
         )
 
-    def to_arena(self, name: str) -> TaskArena:
+    def to_arena(self, name: str, kernels: list | None = None) -> TaskArena:
         """Concatenate into a final :class:`TaskArena` (all sentinels
-        must have been resolved by the outermost splice)."""
+        must have been resolved by the outermost splice) carrying
+        *kernels*."""
         name_ids, cols, untied, created, di, counts = self._concat()
         if len(di) and np.any(di < 0):
             raise ValidationError(
@@ -916,4 +922,5 @@ class TemplateBuilder:
             created_by=created,
             dep_indptr=indptr,
             dep_indices=di,
+            kernels=kernels,
         )

@@ -77,7 +77,7 @@ import numpy as np
 
 from ..observability.metrics import counter
 from ..util.errors import SchedulingError
-from .arena import FAST_PLAN_ATTR, TaskArena
+from .arena import FAST_PLAN_ATTR
 from .scheduler import Schedule, TaskRecord, _EPS
 from .seatplan import SeatPlan, arena_of, plan_for
 from .stats import RuntimeStats
@@ -177,24 +177,16 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     n = len(graph)
     policy = sched.policy
     threads = sched.threads
-    execute = sched.execute
     socket_of = sched._socket_of
     num_sockets = sched._num_sockets
     multi_socket = num_sockets > 1
     l3_bw = sched.machine.l3_bandwidth
     dram_bw = sched.machine.dram_bandwidth
 
-    computes = None
-    if execute:
-        if isinstance(graph, TaskArena):
-            raise SchedulingError(
-                f"graph {graph.name!r} is a TaskArena (cost-only, no compute "
-                f"closures); build with execute=True for the object path"
-            )
-        computes = [task.compute for task in graph.tasks]
-
     fp = plan_for(sched, graph, FAST_PLAN_ATTR, _pack)
     arena = arena_of(graph)
+    # Closures come from the arena alone (``None``: nothing to run).
+    computes = arena.kernels if sched.execute else None
     plans = fp.plans
     zeros = fp.zeros
     seeds = fp.seeds
@@ -341,7 +333,7 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 if zeros[succ]:
-                    if execute and computes[succ] is not None:
+                    if computes is not None and computes[succ] is not None:
                         computes[succ]()
                     rec = _new(TaskRecord)
                     d = rec.__dict__
@@ -374,7 +366,7 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
                 if seed_buf:
                     batch_queue.extend(seed_buf)  # type: ignore[union-attr]
                     seed_buf.clear()
-                if execute and computes[tid] is not None:
+                if computes is not None and computes[tid] is not None:
                     computes[tid]()
                 rec = _new(TaskRecord)
                 d = rec.__dict__
@@ -667,7 +659,7 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
                 task_core[tid] = core
             else:
                 free_cores.pop()
-            if execute and computes[tid] is not None:
+            if computes is not None and computes[tid] is not None:
                 computes[tid]()
             running[core] = tid
             start_of[core] = t

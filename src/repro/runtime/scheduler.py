@@ -449,17 +449,17 @@ class Scheduler:
         identical scheduling decisions (see ``repro.runtime.fastpath``).
         Accepts a columnar :class:`~repro.runtime.arena.TaskArena` too:
         the fast engine consumes its CSR arrays natively, while the
-        reference oracle inflates it to ``Task`` objects first (arenas
-        are cost-only, so ``execute=True`` on one is rejected).
+        reference oracle inflates it to ``Task`` objects first.  An
+        arena without kernels is cost-only, so ``execute=True`` on one
+        is rejected.
         """
         from .arena import TaskArena
 
         is_arena = isinstance(graph, TaskArena)
-        if is_arena and self.execute:
+        if is_arena and self.execute and graph.kernels is None:
             raise SchedulingError(
-                f"graph {graph.name!r} is a TaskArena (cost-only, no "
-                f"compute closures); lower with execute=True to run "
-                f"real numerics"
+                f"graph {graph.name!r} is a cost-only TaskArena (no "
+                f"kernels); lower with execute=True to run real numerics"
             )
         with trace.span(
             "schedule",

@@ -39,7 +39,7 @@ from ..core.study import (
     _run_cell,
     _run_cell_worker,
     _ShmBuild,
-    prebuild_arena_cell,
+    prebuild_cell,
 )
 from ..machine.specs import MachineSpec
 from ..observability import trace
@@ -158,7 +158,7 @@ class CellExecutor:
         try:
             payloads = []
             for spec in specs:
-                prebuilt = prebuild_arena_cell(
+                prebuilt = prebuild_cell(
                     self.algorithm(spec.algorithm),
                     spec.n,
                     spec.threads,

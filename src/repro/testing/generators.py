@@ -106,9 +106,8 @@ class AlgorithmCase:
 
 @dataclass(frozen=True)
 class LoweringCase:
-    """One (algorithm, n, threads) cell for the templated-lowering
-    differential: the columnar ``build_arena`` stamping must be
-    bit-identical to the object ``build(execute=False)`` recursion."""
+    """One (algorithm, n, threads) cell for the lowering invariants
+    (:func:`~repro.testing.invariants.check_lowering`)."""
 
     seed: int
     machine: MachineSpec
@@ -262,7 +261,7 @@ def gen_algorithm_case(seed: int) -> AlgorithmCase:
 
 
 def gen_lowering_case(seed: int) -> LoweringCase:
-    """A templated-lowering differential cell.
+    """A lowering-invariant cell.
 
     Sizes deliberately mix powers of two (pure recursion), odd sizes
     (odd-size peel levels), and sizes at/below the recursion cutoffs

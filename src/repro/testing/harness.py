@@ -9,9 +9,10 @@ cases from :mod:`repro.testing.generators`, the invariant library from
 Budget discipline: the cheap per-case checks (single-run invariants +
 fast-vs-reference differential) run for *every* case; the expensive
 families are interleaved — an Eq. 8 bound cell every ``bounds_every``
-cases, a templated-vs-recursive lowering differential every
-``lowering_every`` (the columnar arena stamping must be bit-identical
-to the object recursion), a compiled-engine differential every
+cases, a lowering-invariant cell every ``lowering_every`` (flop,
+task-count and dependency closed forms, tid order, one sink, executed
+arena = cost-only arena, numerics against ``numpy.matmul``), a
+compiled-engine differential every
 ``compiled_every`` (the JIT-compiled C sweep against *both* Python
 kernels — probed once up front and silently absent on hosts without a
 toolchain, so ``--require compiled_engine`` makes its coverage
@@ -61,13 +62,13 @@ from .invariants import (
     check_bound_algebra,
     check_comm_bounds,
     check_ep_scaling,
+    check_lowering,
     check_measurement,
     check_network_bounds,
 )
 from .oracle import (
     differential_compiled_check,
     differential_engine_check,
-    differential_lowering_check,
     differential_network_check,
     differential_service_check,
     differential_study_check,
@@ -294,7 +295,7 @@ def run_verify(
             record(
                 "arena_lowering",
                 case_seed,
-                differential_lowering_check(lc),
+                check_lowering(lc),
                 lc.describe(),
             )
         if compiled_ok and i % compiled_every == 0:

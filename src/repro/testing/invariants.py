@@ -29,6 +29,13 @@ Checked families:
   the bound algebra itself (max-of-terms, monotonicities, crossover
   memory, Strassen ≤ classical in the relevant regime) must hold on
   random inputs.
+* **Lowering structure** — a matmul lowering's flops sum to the
+  algorithm's count (plus CAPS's 1-flop packing rows), its per-prefix
+  task counts and dependency-edge count match closed forms derived from
+  ``cutoff``/``grain``/``cutoff_depth``, every dependency and creator
+  precedes its task, recursive lowerings have exactly one sink, the
+  executed arena is the cost-only arena plus ``unpad`` where padded,
+  and the executed product matches ``numpy.matmul``.
 * **Network-schedule sanity** — an event-simulated distributed
   schedule's makespan must cover its slowest rank's compute, every
   aggregate must be finite and non-negative, the cluster-wide sent and
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -69,8 +77,10 @@ __all__ = [
     "check_bound_algebra",
     "check_comm_bounds",
     "check_ep_scaling",
+    "check_lowering",
     "check_measurement",
     "check_network_bounds",
+    "lowering_shape",
 ]
 
 _REL = 1e-9
@@ -628,4 +638,153 @@ def check_network_bounds(result: "NetRunResult") -> list[Violation]:
                 f"below the Eq. 8 floor {result.floor_bytes:.0f}",
             )
         )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# lowering structure
+
+
+def _times(counts: Counter, k: int) -> Counter:
+    return Counter({name: k * c for name, c in counts.items()})
+
+
+def _strassen_shape(alg, s: int) -> tuple[Counter, int, int]:
+    """``(tasks per name prefix, dependency edges among the subtree's
+    own rows, external-dependency slots)`` of a Strassen subtree."""
+    if s <= alg.cutoff:
+        return Counter(leaf=1), 0, 1
+    if s % 2 and s > alg.grain:  # peel: even core, then one border row
+        tasks, edges, slots = _strassen_shape(alg, s - 1)
+        return tasks + Counter(peel=1), edges + 1, slots
+    if s <= alg.grain:
+        return Counter(grain=1), 0, 1
+    tasks, edges, slots = _strassen_shape(alg, s // 2)
+    # pre, seven children hanging off it, post joining all seven
+    return _times(tasks, 7) + Counter(pre=1, post=1), 7 * (edges + slots) + 7, 1
+
+
+def _caps_shape(alg, s: int, depth: int, k: int) -> tuple[Counter, int, int]:
+    """:func:`_strassen_shape` for CAPS with *k* work-sharing chunks."""
+    if s <= alg.leaf_cutoff:
+        return Counter(leaf=1), 0, 1
+    if depth >= alg.cutoff_depth and s <= alg.dfs_grain:
+        return Counter({"dfs-grain": k + 1}), k, k  # k chunks + join
+    tasks, edges, slots = _caps_shape(alg, s // 2, depth + 1, k)
+    if depth >= alg.cutoff_depth:
+        # pre loop + join, seven children chained, post loop + join
+        own = Counter({"dfs-pre": k + 1, "dfs-post": k + 1})
+        return _times(tasks, 7) + own, k + 7 * (edges + slots) + 2 * k, k
+    own = Counter(f"bfs-{x}" for x in ("s1", "s2", "s3", "s4", "t1", "t2", "t3", "t4"))
+    own.update(f"bfs-{x}" for x in ("u", "c11", "c12", "c21", "c22"))
+    # s2, s4, t2, t4 chain; u joins 4 products; c11..c22 take 2 each;
+    # the closing row joins the four c rows.
+    own_edges = 4 + 4 + 8 + 4
+    if alg.pack:
+        own.update(f"bfs-pack{i}" for i in range(1, 5))
+        own["bfs-unpack"] += 1
+        # pack1/pack2 take the external deps, pack3/pack4 s4/t4;
+        # children 1-4 hang off their pack row, 5-7 off two S/T rows.
+        return _times(tasks, 7) + own, own_edges + 2 + 7 * edges + 10 * slots, 6
+    own["bfs-join"] += 1
+    # children 1-2 take the external deps, 3-4 one row, 5-7 two rows.
+    return _times(tasks, 7) + own, own_edges + 7 * edges + 8 * slots, 4 + 2 * slots
+
+
+def lowering_shape(alg, n: int, threads: int) -> tuple[dict[str, int], int]:
+    """Closed-form ``(tasks per name prefix, dependency edges)`` of
+    ``alg.build(n, threads, execute=False)`` for the three paper
+    algorithms, derived from their recursion parameters alone."""
+    from ..algorithms.tuning import tile_grid
+
+    if alg.name == "openblas":
+        tiles = len(tile_grid(n, threads, alg.min_tiles_per_thread)) ** 2
+        return {"tile": tiles}, 0
+    if alg.name == "caps":
+        tasks, edges, _ = _caps_shape(alg, alg.padded_n(n), 0, threads)
+    else:
+        tasks, edges, _ = _strassen_shape(alg, alg.padded_n(n))
+    return dict(tasks), edges
+
+
+def check_lowering(case) -> list[Violation]:
+    """Structural invariants of one matmul lowering cell (a
+    :class:`~repro.testing.generators.LoweringCase`), independent of
+    how the lowering stamps its arena; see the module docstring."""
+    from ..algorithms.registry import make_algorithm
+    from ..runtime.arena import NO_CREATOR, TaskArena
+
+    where = case.describe()
+    alg = make_algorithm(case.algorithm, case.machine)
+    arena = alg.build(case.n, case.threads, execute=False).graph
+    if not isinstance(arena, TaskArena) or arena.kernels is not None:
+        return [Violation("lowering.path", f"{where}: cost-only build is a "
+                          f"{type(arena).__name__}, not a kernel-less TaskArena")]
+    out: list[Violation] = []
+    counts = arena.counts_by_prefix()
+    packs = sum(c for p, c in counts.items() if p.startswith(("bfs-pack", "bfs-unpack")))
+    want = alg.flop_count(case.n) + packs
+    got = float(np.sum(arena.flops))
+    if not _close(got, want, rel=1e-12):
+        out.append(Violation("lowering.flops", f"{where}: sum of flops {got!r} != "
+                             f"flop_count + packing rows {want!r}"))
+    tasks, edges = lowering_shape(alg, case.n, case.threads)
+    if counts != tasks:
+        out.append(Violation("lowering.counts", f"{where}: tasks per prefix "
+                             f"{counts} != closed form {tasks}"))
+    if len(arena.dep_indices) != edges:
+        out.append(Violation("lowering.counts", f"{where}: {len(arena.dep_indices)} "
+                             f"dependency edges != closed form {edges}"))
+    tids = np.arange(len(arena))
+    owner = np.repeat(tids, arena.dep_counts)
+    if np.any(arena.dep_indices >= owner) or np.any(arena.dep_indices < 0):
+        out.append(Violation("lowering.order", f"{where}: a dependency does not precede its task"))
+    if np.any(arena.created_by >= tids) or np.any(arena.created_by < NO_CREATOR):
+        out.append(Violation("lowering.order", f"{where}: a creator does not precede its task"))
+    sinks = int(np.count_nonzero(np.bincount(arena.dep_indices, minlength=len(arena)) == 0))
+    if sinks != (len(arena) if edges == 0 else 1):
+        out.append(Violation("lowering.sink", f"{where}: {sinks} sinks"))
+    if out:
+        return out
+    return _check_executed_lowering(case, alg, arena)
+
+
+def _check_executed_lowering(case, alg, arena) -> list[Violation]:
+    """The executed build is the cost-only arena plus ``unpad`` when
+    padded, carries one kernel per tid, and computes ``A @ B``."""
+    from ..runtime.arena import _COST_FIELDS, TaskArena
+
+    where = case.describe()
+    try:
+        build = alg.build(case.n, case.threads, execute=True)
+    except Exception as exc:  # kernel misalignment raises in build()
+        return [Violation("lowering.executed", f"{where}: {exc}")]
+    executed, k = build.graph, len(arena)
+    trimmed = TaskArena(
+        executed.name,
+        executed.names,
+        executed.name_ids[:k],
+        {f: getattr(executed, f)[:k] for f in _COST_FIELDS},
+        executed.untied[:k],
+        executed.created_by[:k],
+        executed.dep_indptr[: k + 1],
+        executed.dep_indices[: executed.dep_indptr[min(k, len(executed))]],
+    )
+    out = [Violation("lowering.executed", f"{where}: {msg}")
+           for msg in arena.structural_diff(trimmed)]
+    padded = getattr(alg, "padded_n", lambda n: n)(case.n) != case.n
+    tail = executed.names_list()[k:]
+    ptr = executed.dep_indptr
+    if tail != (["unpad"] if padded else []) or (
+        padded and executed.dep_indices[ptr[k] : ptr[k + 1]].tolist() != [k - 1]
+    ):
+        out.append(Violation("lowering.executed", f"{where}: rows after the "
+                             f"cost-only arena are {tail}"))
+    if out:
+        return out
+    Scheduler(case.machine, case.threads, execute=True).run(executed)
+    report = build.verify()
+    if not report.ok:
+        out.append(Violation("lowering.numerics", f"{where}: error "
+                             f"{report.abs_error:.3e} exceeds bound {report.bound:.3e}"))
     return out

@@ -34,7 +34,7 @@ from ..machine.specs import haswell_e3_1225
 from ..power.msr import PLANE_MSR, MsrFile
 from ..runtime.scheduler import ActivityInterval, Schedule, Scheduler
 from ..sim.engine import Engine
-from .generators import GraphCase, LoweringCase, NetworkCase, gen_study_config
+from .generators import GraphCase, NetworkCase, gen_study_config
 from .invariants import Violation
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "compare_schedules",
     "differential_compiled_check",
     "differential_engine_check",
-    "differential_lowering_check",
     "differential_network_check",
     "differential_service_check",
     "differential_study_check",
@@ -229,90 +228,6 @@ def differential_compiled_check(case: GraphCase) -> list[Violation]:
         case.machine, case.threads, case.policy, execute=False, engine="compiled"
     ).run(case.graph)
     return compare_schedules(ref, compiled) + compare_schedules(fast, compiled)
-
-
-# ---------------------------------------------------------------------------
-# templated vs recursive lowering
-
-
-def differential_lowering_check(case: LoweringCase) -> list[Violation]:
-    """Replay one cell through both lowering paths and demand
-    bit-identity.
-
-    The object recursion (``build(execute=False)``) is the oracle; the
-    templated columnar stamping (``build_arena``) must reproduce it
-    *bit-for-bit* — same tids, names, dependency lists, cost columns
-    (``tobytes`` equality), untied flags and creator links.  On top of
-    the structural identity, the arena's vectorized metrics must agree
-    with the object graph's scalar sweeps: the critical path exactly
-    (same maxima, same single-add per level) and total work to 1e-12
-    relative (``np.sum`` pairs additions differently than ``sum``).
-
-    An algorithm *without* a columnar path is a violation here, not a
-    skip: this family exists precisely to guarantee the object-path
-    oracle is exercised against a real templated lowering.
-    """
-    from ..algorithms.registry import make_algorithm
-    from ..runtime.arena import TaskArena
-
-    alg = make_algorithm(case.algorithm, case.machine)
-    obj = alg.build(case.n, case.threads, execute=False)
-    arena_build = alg.build_arena(case.n, case.threads)
-    if arena_build is None:
-        return [
-            Violation(
-                "oracle.lowering_path",
-                f"{case.algorithm} has no build_arena lowering — the "
-                f"templated-vs-recursive oracle cannot run",
-            )
-        ]
-    arena = arena_build.graph
-    if not isinstance(arena, TaskArena):
-        return [
-            Violation(
-                "oracle.lowering_path",
-                f"{case.algorithm}.build_arena returned "
-                f"{type(arena).__name__}, not a TaskArena",
-            )
-        ]
-    out = [
-        Violation("oracle.lowering_bits", msg)
-        for msg in TaskArena.from_graph(obj.graph).structural_diff(arena)
-    ]
-    if out:
-        return out
-
-    # Vectorized metrics vs the object graph's scalar sweeps.
-    sched = Scheduler(case.machine, threads=case.threads, execute=False)
-    durs = arena.uncontended_durations(
-        sched._core_peak,
-        sched._l1_bw,
-        sched._l2_bw,
-        case.machine.l3_bandwidth,
-        case.machine.dram_bandwidth,
-    )
-    fn = sched.uncontended_duration
-    cp_obj = obj.graph.critical_path_seconds(fn)
-    cp_arena = arena.critical_path_seconds(durs)
-    if cp_obj != cp_arena:
-        out.append(
-            Violation(
-                "oracle.lowering_metrics",
-                f"critical path diverged: object {cp_obj!r} vs "
-                f"arena {cp_arena!r}",
-            )
-        )
-    tw_obj = obj.graph.total_work_seconds(fn)
-    tw_arena = arena.total_work_seconds(durs)
-    if not _close(tw_obj, tw_arena):
-        out.append(
-            Violation(
-                "oracle.lowering_metrics",
-                f"total work diverged: object {tw_obj!r} vs "
-                f"arena {tw_arena!r}",
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,12 @@ def test_numerics_exact(machine, alg, engine):
 
 def test_graph_is_embarrassingly_parallel(alg):
     build = alg.build(256, threads=4, execute=False)
-    assert all(not t.deps for t in build.graph)
+    assert len(build.graph.dep_indices) == 0
 
 
 def test_tile_tasks_cover_output(alg):
     build = alg.build(200, threads=2, execute=False)
-    total_flops = sum(t.cost.flops for t in build.graph)
+    total_flops = float(build.graph.flops.sum())
     assert total_flops == pytest.approx(alg.flop_count(200))
 
 

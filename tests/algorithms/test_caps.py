@@ -77,8 +77,8 @@ def test_packing_tasks_emitted(machine):
 def test_packing_adds_traffic_not_flops(machine):
     with_pack = CapsStrassen(machine, cutoff_depth=2, leaf_cutoff=64)
     without = CapsStrassen(machine, cutoff_depth=2, leaf_cutoff=64, pack=False)
-    gp = with_pack.build(128, threads=2, execute=False).graph.total_cost()
-    gn = without.build(128, threads=2, execute=False).graph.total_cost()
+    gp = with_pack.build(128, threads=2, execute=False).graph.to_graph().total_cost()
+    gn = without.build(128, threads=2, execute=False).graph.to_graph().total_cost()
     assert gp.bytes_l1 > gn.bytes_l1
     # Pack tasks carry a token 1-flop cost each; arithmetic is unchanged.
     assert gp.flops == pytest.approx(gn.flops, abs=10)

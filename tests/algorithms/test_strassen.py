@@ -122,8 +122,8 @@ def test_subtree_cost_consistent_with_graph(machine):
     task costs (same recursion, different granularity)."""
     fine = StrassenWinograd(machine, cutoff=32, grain=32)
     coarse = StrassenWinograd(machine, cutoff=32, grain=128)
-    g_fine = fine.build(128, threads=1, execute=False).graph
-    g_coarse = coarse.build(128, threads=1, execute=False).graph
+    g_fine = fine.build(128, threads=1, execute=False).graph.to_graph()
+    g_coarse = coarse.build(128, threads=1, execute=False).graph.to_graph()
     assert g_fine.total_cost().flops == pytest.approx(g_coarse.total_cost().flops)
     assert g_fine.total_cost().bytes_dram == pytest.approx(
         g_coarse.total_cost().bytes_dram

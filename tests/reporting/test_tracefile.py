@@ -1,10 +1,11 @@
-"""Chrome trace export."""
+"""Chrome trace export of simulated schedules."""
 
 import json
 
 import pytest
 
-from repro.reporting.tracefile import schedule_to_trace_events, write_chrome_trace
+from repro.observability.export import validate_chrome_trace
+from repro.reporting import schedule_to_trace_events, write_chrome_trace
 from repro.runtime.cost import TaskCost
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.task import TaskGraph
@@ -60,3 +61,4 @@ def test_write_file_valid_json(schedule, tmp_path):
     data = json.loads(path.read_text())
     assert "traceEvents" in data
     assert len(data["traceEvents"]) >= 4
+    assert validate_chrome_trace(data) == []

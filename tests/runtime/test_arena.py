@@ -53,11 +53,18 @@ class TestRoundTrip:
             )
             assert a.cost == b.cost
 
-    def test_round_trip_drops_compute_closures(self):
+    def test_round_trip_carries_compute_closures(self):
         g = TaskGraph("with-compute")
-        g.add("t0", TaskCost(flops=1.0), compute=lambda: None)
-        back = TaskArena.from_graph(g).to_graph()
-        assert back.tasks[0].compute is None
+        fn = lambda: None  # noqa: E731
+        g.add("t0", TaskCost(flops=1.0), compute=fn)
+        g.add("t1", TaskCost(flops=1.0), deps=[0])
+        arena = TaskArena.from_graph(g)
+        assert arena.kernels == [fn, None]
+        back = arena.to_graph()
+        assert [t.compute for t in back.tasks] == [fn, None]
+        # Kernels are process-local: a pickled clone is cost-only.
+        assert pickle.loads(pickle.dumps(arena)).kernels is None
+        assert TaskArena.from_graph(TaskGraph("bare")).kernels is None
 
     def test_successors_match_object_append_order(self):
         for seed in range(10):

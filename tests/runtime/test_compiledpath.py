@@ -118,7 +118,7 @@ def test_bit_identical_strassen_arena(machine, policy):
     """A real columnar arena lowering through the CSR plan path."""
     from repro.algorithms import StrassenWinograd
 
-    arena = StrassenWinograd(machine).build_arena(256, 4).graph
+    arena = StrassenWinograd(machine).build(256, 4, execute=False).graph
     fast = _run(machine, arena, policy, 4, "fast")
     comp = _run(machine, arena, policy, 4, "compiled")
     assert_bit_identical(fast, comp)
@@ -160,7 +160,7 @@ def test_plan_bundle_cached_and_dropped_from_pickles(machine):
 def test_arena_pickle_drops_plan_bundle(machine):
     from repro.algorithms import StrassenWinograd
 
-    arena = StrassenWinograd(machine).build_arena(128, 2).graph
+    arena = StrassenWinograd(machine).build(128, 2, execute=False).graph
     Scheduler(machine, 2, execute=False, engine="compiled").run(arena)
     assert getattr(arena, COMPILED_PLAN_ATTR, None) is not None
     clone = pickle.loads(pickle.dumps(arena))

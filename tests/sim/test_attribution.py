@@ -44,7 +44,7 @@ def test_blocked_gemm_single_group(machine):
     groups = attribute_energy(schedule, build.graph, machine)
     assert set(groups) == {"tile"}
     assert groups["tile"].tasks == len(
-        [t for t in build.graph if not t.cost.is_zero]
+        [t for t in build.graph.to_graph() if not t.cost.is_zero]
     )
 
 

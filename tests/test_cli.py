@@ -309,8 +309,11 @@ def test_trace_command(capsys, tmp_path):
     assert out_path.exists()
     import json
 
+    from repro.observability.export import validate_chrome_trace
+
     data = json.loads(out_path.read_text())
     assert data["traceEvents"]
+    assert validate_chrome_trace(data) == []
 
 
 def test_trace_command_steal_policy(capsys):

@@ -6,6 +6,9 @@ lowerings, so a change to one of those moves every side together.
 This test pins the values themselves against
 ``tests/golden/paper_grid.json``: makespan, plane joules, EP, segment
 count and the Eq. 5 scaling value and class of every cell, exactly.
+A second golden, ``tests/golden/lowerings.json``, pins every matmul
+lowering branch column by column (names, dependency CSR, creators,
+untied flags, cost bytes), executed padded builds included.
 
 Regenerate only with ``python tools/golden.py --write`` and justify the
 diff in CHANGES.md.
@@ -44,4 +47,29 @@ def test_diff_names_cell_and_field():
     assert lines == [
         "fast caps/512/2 makespan_s: golden 1.0, got 1.5",
         "fast caps/512/3: not in the golden",
+    ]
+
+
+def test_lowerings_match_golden():
+    expected = golden.load_lowering_golden()["cells"]
+    assert set(expected) == set(golden.LOWERING_CELLS)
+    lines = golden.diff_lowerings(expected, golden.lowering_cells())
+    assert not lines, "lowering drift:\n" + "\n".join(lines)
+
+
+def test_lowering_golden_covers_padded_executed_builds():
+    # n=100 and n=96 pad to 128: the padded stamping plus one unpad row.
+    cells = golden.load_lowering_golden()["cells"]
+    assert cells["exec/strassen/100/2"]["tasks"] == cells["strassen/100/1"]["tasks"] + 1
+    assert cells["exec/caps/96/2"]["tasks"] == cells["caps/128/1"]["tasks"] + 1
+    build = golden.make_lowering("exec/strassen/100/2")
+    assert build.graph.names_list()[-1] == "unpad"
+
+
+def test_lowering_diff_names_cell_and_field():
+    expected = {"caps/64/1": {"tasks": 1, "deps": "aa"}}
+    actual = {"caps/64/1": {"tasks": 1, "deps": "bb"}, "caps/64/4": {}}
+    assert golden.diff_lowerings(expected, actual) == [
+        "lowering caps/64/1 deps: golden 'aa', got 'bb'",
+        "lowering caps/64/4: not in the golden",
     ]

@@ -5,13 +5,13 @@ The optimization-guide workflow: no optimization without measuring.
 Three phases cover the pipeline end to end:
 
 ``--phase build``
-    Graph lowering only — the templated columnar ``build_arena`` path
-    next to the recursive object path (each profiled separately on
-    fresh algorithm instances, so subtree-template memos start cold).
+    Graph lowering only — a cold lowering on a fresh algorithm
+    instance (subtree-template memos start empty), then the same
+    lowering again with the templates warm.
 ``--phase sim``
     The event kernel on a pre-built graph (lowering excluded).  Honors
     ``--engine`` and ``--graph {arena,object}`` to profile either
-    kernel on either graph shape.
+    kernel on the lowered arena or its ``to_graph()`` object form.
 ``--phase study``
     The full cost-only execution matrix through ``repro.api.Study``
     (lowering + simulation + measurement) on ``--engine``, the closest
@@ -64,25 +64,15 @@ def _profiled(fn, top: int, sort: str):
 def phase_build(args) -> None:
     machine = machine_from_args(args)
 
-    print(f"== object recursion: {args.alg} n={args.n} p={args.threads} ==")
-    alg = make_algorithm(args.alg, machine)
-    build = _profiled(
-        lambda: alg.build(args.n, args.threads, execute=False),
-        args.top,
-        args.sort,
-    )
-    print(f"   {len(build.graph)} tasks\n")
-
-    print(f"== templated arena: {args.alg} n={args.n} p={args.threads} ==")
-    fresh = make_algorithm(args.alg, machine)  # cold template memo
-    arena_build = _profiled(
-        lambda: fresh.build_arena(args.n, args.threads), args.top, args.sort
-    )
-    if arena_build is None:
-        print("   (no columnar lowering for this algorithm)")
-    else:
-        arena = arena_build.graph
-        print(f"   {len(arena)} tasks, {arena.nbytes / 2**20:.2f} MiB resident")
+    alg = make_algorithm(args.alg, machine)  # fresh: cold template memo
+    for memo in ("cold", "warm"):
+        print(f"== {memo} lowering: {args.alg} n={args.n} p={args.threads} ==")
+        arena = _profiled(
+            lambda: alg.build(args.n, args.threads, execute=False).graph,
+            args.top,
+            args.sort,
+        )
+        print(f"   {len(arena)} tasks, {arena.nbytes / 2**20:.2f} MiB resident\n")
 
 
 def _warm_engine(engine: str) -> None:
@@ -98,20 +88,17 @@ def _warm_engine(engine: str) -> None:
 def phase_sim(args) -> None:
     machine = machine_from_args(args)
     alg = make_algorithm(args.alg, machine)
-    if args.graph == "arena":
-        build = alg.build_arena(args.n, args.threads)
-        if build is None:
-            sys.exit(f"{args.alg} has no build_arena lowering")
-    else:
-        build = alg.build(args.n, args.threads, execute=False)
+    graph = alg.build(args.n, args.threads, execute=False).graph
+    if args.graph == "object":
+        graph = graph.to_graph()
     _warm_engine(args.engine)
     engine = Engine(machine, engine=args.engine)
     print(
         f"== {args.engine} kernel on {args.graph} graph: {args.alg} "
-        f"n={args.n} p={args.threads}, {len(build.graph)} tasks =="
+        f"n={args.n} p={args.threads}, {len(graph)} tasks =="
     )
     measurement = _profiled(
-        lambda: engine.run(build.graph, args.threads, execute=False),
+        lambda: engine.run(graph, args.threads, execute=False),
         args.top,
         args.sort,
     )
