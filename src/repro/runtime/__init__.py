@@ -1,7 +1,9 @@
 """Simulated OpenMP-like task runtime.
 
-Task costs, task graphs, an OpenMP-flavoured construction API and the
-discrete-event scheduler with shared L3/DRAM bandwidth contention.
+Task costs, the columnar task graph every consumer reads
+(:class:`TaskArena`), the object builder (:class:`TaskGraph`) behind an
+OpenMP-flavoured construction API, and the discrete-event scheduler
+with shared L3/DRAM bandwidth contention.
 """
 
 from .arena import TaskArena

@@ -1,10 +1,10 @@
 """Structure-of-arrays task-graph arena with CSR dependencies.
 
-A :class:`TaskArena` is the compact, columnar twin of
-:class:`~repro.runtime.task.TaskGraph`: one interned name table plus a
-handful of flat numpy arrays (cost columns, flags, and the dependency
-lists in CSR form).  It exists because the *lowering* of the recursive
-algorithms — not event simulation — dominated the paper's 48-cell
+A :class:`TaskArena` is the one task-graph representation anything
+*reads*: one interned name table plus a handful of flat numpy arrays
+(cost columns, flags, and the dependency lists in CSR form).  It exists
+because the *lowering* of the recursive algorithms — not event
+simulation — dominated the paper's 48-cell
 execution matrix after PR 1: a cold Strassen/CAPS build materializes
 ``O(7^d)`` Python ``Task`` objects and tuples per cell, while the DAG it
 describes is exactly self-similar (Ballard et al.: the graph at size
@@ -16,13 +16,13 @@ Python recursion.
 Three layers live here:
 
 * :class:`TaskArena` — the SoA/CSR container, with the structural
-  metrics of ``TaskGraph`` (``total_work_seconds``,
-  ``critical_path_seconds``, critical-policy priorities) re-implemented
-  as vectorized topological *level sweeps* over the CSR arrays.  The
-  sweeps are bit-identical to the scalar loops they replace: ``max`` is
-  exact, the division/add expressions are written with the same
-  operand order, and the per-level ``np.maximum.reduceat`` reduces the
-  same operands the scalar ``max`` generator would.
+  metrics (``total_work_seconds``, ``critical_path_seconds``,
+  critical-policy priorities) as vectorized topological *level sweeps*
+  over the CSR arrays.  The sweeps are bit-identical to a scalar
+  longest-path loop: ``max`` is exact, the division/add expressions are
+  written in scalar operand order, and the per-level
+  ``np.maximum.reduceat`` reduces the same operands a scalar ``max``
+  would.
 * :class:`SubtreeTemplate` / :class:`TemplateBuilder` — relocatable
   sub-graph templates.  A template's dependency entries are either
   *local* (indices into the template itself) or the :data:`EXT_DEP`
@@ -31,24 +31,27 @@ Three layers live here:
   Stamping a template into a builder is pure array arithmetic
   (:func:`_stamp`): offset the local ids by the instantiation base,
   substitute the sentinels, fix up the per-row dependency counts.
-* conversion — ``TaskArena.from_graph`` / ``TaskArena.to_graph`` map
-  between the object and columnar worlds; ``to_graph`` is what the
-  reference event kernel consumes when handed an arena.
+* conversion — ``TaskArena.from_graph`` columnizes an object
+  :class:`~repro.runtime.task.TaskGraph` (the builder behind OpenMP
+  regions, LU, sparse and hand-built graphs).  There is no way back:
+  nothing consumes the object form.
 
-The arena is the one input the cost-driven event kernels price: the
-``fast`` and ``compiled`` engines both seat tasks from the plan
-:mod:`repro.runtime.seatplan` builds from these columns, and an object
-graph reaches them through its cached ``from_graph`` conversion.  The
-plans each engine caches on an arena are named by :data:`PLAN_ATTRS`.
+The arena is the one input every event engine reads: the scalar
+``reference`` loop walks its columns per tid, and the ``fast`` and
+``compiled`` engines seat tasks from the plan
+:mod:`repro.runtime.seatplan` builds from them.  An object graph
+reaches all three through its cached conversion
+(:func:`repro.runtime.seatplan.arena_of`).  The plans each engine
+caches on an arena are named by :data:`PLAN_ATTRS`.
 
 Every matmul lowering stamps an arena.  An executed lowering also
 carries :attr:`TaskArena.kernels`, a tid-aligned list of numpy closures
 (``None`` for rows with nothing to run); it is the one place the
-engines read closures from.  ``from_graph`` fills it from
-``Task.compute`` and ``to_graph`` copies it back.  Kernels are
-process-local: pickling an arena drops them, and a shared-memory
-attach never carries them, so an ``execute=True`` run of such an arena
-fails with :class:`~repro.util.errors.SchedulingError`.
+engines read closures from; ``from_graph`` fills it from
+``Task.compute``.  Kernels are process-local: pickling an arena drops
+them, and a shared-memory attach never carries them, so an
+``execute=True`` run of such an arena fails with
+:class:`~repro.util.errors.SchedulingError`.
 """
 
 from __future__ import annotations
@@ -190,10 +193,10 @@ class TaskArena:
     """A task graph as structure-of-arrays columns + CSR dependencies.
 
     Immutable by convention: every consumer treats the arrays as
-    read-only (the event engines cache their seat plans on the instance
-    the same way they do on a ``TaskGraph``).  Derived structures
-    (successor CSR, level order, resolved name lists) are cached under
-    ``_c_*`` attributes and dropped on pickling.
+    read-only (the event engines cache their seat plans on the
+    instance).  Derived structures (successor CSR, level order,
+    resolved name lists) are cached under ``_c_*`` attributes and
+    dropped on pickling.
 
     ``kernels`` is ``None`` for a cost-only arena, else one callable or
     ``None`` per tid.
@@ -326,8 +329,7 @@ class TaskArena:
     def successors_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)`` of the successor adjacency.
 
-        For each tid, the dependents in ascending-tid order — the exact
-        append order ``TaskGraph._successors`` accumulates, which the
+        For each tid, the dependents in ascending-tid order, which the
         event kernels' completion cascades rely on.
         """
         out = getattr(self, "_c_succ_csr", None)
@@ -340,8 +342,8 @@ class TaskArena:
             np.cumsum(counts, out=ptr[1:])
             # Stable sort groups edges by dependency while preserving
             # the original edge order — and edges are stored in
-            # ascending owner-tid order, so each group comes out in the
-            # object path's append order.
+            # ascending owner-tid order, so each group comes out in
+            # ascending tid order.
             order = np.argsort(self.dep_indices, kind="stable")
             owners = np.repeat(
                 np.arange(n, dtype=np.int64), self.dep_counts
@@ -351,8 +353,8 @@ class TaskArena:
         return out
 
     def successors_lists(self) -> list[list[int]]:
-        """Successor lists as plain Python ints (cached) — the arena
-        analogue of ``TaskGraph._successors`` for the event kernels."""
+        """Successor lists as plain Python ints (cached), for the
+        event kernels' completion cascades."""
         out = getattr(self, "_c_succ_lists", None)
         if out is None:
             ptr, idx = self.successors_csr()
@@ -460,6 +462,14 @@ class TaskArena:
             return float("inf") if len(self) else 0.0
         return self.total_work_seconds(durations) / cp
 
+    def zero_cost(self) -> np.ndarray:
+        """Per-task flag: no demand in any dimension (a join or barrier
+        row, which never occupies a core)."""
+        return (
+            (self.flops == 0.0) & (self.bytes_l1 == 0.0) & (self.bytes_l2 == 0.0)
+            & (self.bytes_l3 == 0.0) & (self.bytes_dram == 0.0)
+        )
+
     def counts_by_prefix(self) -> dict[str, int]:
         """Task counts grouped by the name component before '/'."""
         counts = np.bincount(self.name_ids, minlength=len(self.names))
@@ -516,41 +526,31 @@ class TaskArena:
             kernels=kernels if any(k is not None for k in kernels) else None,
         )
 
-    def to_graph(self) -> "TaskGraph":
-        """Materialize an object :class:`TaskGraph` whose tasks carry
-        :attr:`kernels` as their ``compute`` closures.  This is the
-        bridge to the reference event kernel."""
-        from .task import Task, TaskGraph
+    # ---- export --------------------------------------------------------
 
-        self.validate()
-        graph = TaskGraph(self.name)
-        tasks = graph.tasks
-        succ = graph._successors
-        names = self.names_list()
-        flops = self.flops.tolist()
-        eff = self.efficiency.tolist()
-        b1 = self.bytes_l1.tolist()
-        b2 = self.bytes_l2.tolist()
-        b3 = self.bytes_l3.tolist()
-        bd = self.bytes_dram.tolist()
-        untied = self.untied.tolist()
-        created = self.created_by.tolist()
-        flat = self.dep_indices.tolist()
-        ptr = self.dep_indptr.tolist()
-        kernels = self.kernels or [None] * len(self)
-        for i in range(len(self)):
-            deps = tuple(flat[ptr[i] : ptr[i + 1]])
-            cost = TaskCost(flops[i], eff[i], b1[i], b2[i], b3[i], bd[i])
-            cb = created[i]
-            tasks.append(
-                Task(i, names[i], cost, deps, kernels[i], untied[i],
-                     cb if cb >= 0 else None)
+    def to_dot(self, max_tasks: int = 500) -> str:
+        """Graphviz DOT rendering of the DAG (debugging aid).
+
+        Refuses graphs beyond *max_tasks* nodes — DOT output of a
+        100k-task Strassen lowering helps nobody.
+        """
+        n = len(self)
+        if n > max_tasks:
+            raise ValidationError(
+                f"graph has {n} tasks; raise max_tasks "
+                f"(currently {max_tasks}) to render it anyway"
             )
-            succ.append([])
-            for d in deps:
-                succ[d].append(i)
-        graph._validated = True
-        return graph
+        names = self.names_list()
+        zero = self.zero_cost().tolist()
+        lines = [f'digraph "{self.name}" {{', "  rankdir=TB;"]
+        for tid, (name, flops) in enumerate(zip(names, self.flops.tolist())):
+            shape = "diamond" if zero[tid] else "ellipse"
+            lines.append(f'  t{tid} [label="{name}\\n{flops:.3g} flop", shape={shape}];')
+        ptr, flat = self.dep_indptr.tolist(), self.dep_indices.tolist()
+        for tid in range(n):
+            lines.extend(f"  t{d} -> t{tid};" for d in flat[ptr[tid] : ptr[tid + 1]])
+        lines.append("}")
+        return "\n".join(lines)
 
     # ---- diffing (test/oracle support) ---------------------------------
 

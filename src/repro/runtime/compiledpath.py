@@ -6,7 +6,7 @@ The third interchangeable engine: the incremental event sweep of
 system C compiler and driven through :mod:`ctypes`.  The hot loop
 touches only flat numeric buffers — the shared
 :class:`~repro.runtime.seatplan.SeatPlan` of contiguous numpy arrays
-(CSR seat plans, successor CSR, per-task flags), cached on the graph
+(CSR seat plans, successor CSR, per-task flags), cached on the arena
 per machine, and the kernel writes records, interval rows and busy
 spans straight into preallocated output arrays.  No Python
 objects, dicts, or per-event allocation anywhere in the sweep.
@@ -15,10 +15,11 @@ Numerics contract: the C kernel evaluates the same IEEE-754 double
 expressions in the same order as ``run_fast`` (compiled with
 ``-ffp-contract=off`` and no fast-math so nothing is contracted or
 reassociated), so the two engines produce **bit-identical** event
-times, records and interval rows; versus ``reference`` the documented
-1e-12 relative tolerance and zero-width-interval merge rule apply
-unchanged.  Any drift is a bug the ``compiled_engine`` verify family
-exists to catch.
+times, records and interval rows; versus ``reference`` the fast
+engine's agreement, and its open divergence on CAPS lowerings, carry
+over unchanged (see :mod:`repro.runtime.fastpath`).  Any drift from
+``fast`` is a bug the ``compiled_engine`` verify family exists to
+catch.
 
 Toolchain semantics mirror the shm transport (PR 5):
 
@@ -55,14 +56,13 @@ from ..observability import trace
 from ..observability.metrics import counter
 from ..util.errors import ConfigurationError, SchedulingError
 from ._sweep_src import ABI_VERSION, SWEEP_SOURCE
-from .arena import COMPILED_PLAN_ATTR
+from .arena import COMPILED_PLAN_ATTR, TaskArena
 from .scheduler import Schedule
 from .seatplan import plan_for
 from .stats import RuntimeStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .scheduler import Scheduler
-    from .task import TaskGraph
 
 __all__ = [
     "compiled_available",
@@ -376,8 +376,8 @@ _POLICY_CODE = {"fifo": 0, "lifo": 1, "critical": 2, "steal": 3}
 # run
 
 
-def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
-    """Simulate *graph* with the compiled event kernel.
+def run_compiled(sched: "Scheduler", arena: TaskArena) -> Schedule:
+    """Simulate *arena* with the compiled event kernel.
 
     Raises :class:`_JitError` when the toolchain/compile is unusable
     and :class:`_KernelInternalError` on internal kernel bounds — both
@@ -387,19 +387,19 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     exact messages and never fall back.
     """
     fn = _load_kernel()
-    n = len(graph)
+    n = len(arena)
     threads = sched.threads
     with trace.span("schedule.plan"):
-        graph.validate()
-        # Kept whole on the graph: the kernel reads its arrays as-is.
-        cp = plan_for(sched, graph, COMPILED_PLAN_ATTR)
+        arena.validate()
+        # Kept whole on the arena: the kernel reads its arrays as-is.
+        cp = plan_for(sched, arena, COMPILED_PLAN_ATTR)
         prio_ptr = None
         if sched.policy == "critical":
             # Longest path to any sink, cached on the bundle: the
             # arena sweep the fast engine also uses.
             if cp.crit_prio is None:
-                durs = cp.arena.uncontended_durations(*cp.key)
-                cp.crit_prio = cp.arena.critical_priorities(durs)
+                durs = arena.uncontended_durations(*cp.key)
+                cp.crit_prio = arena.critical_priorities(durs)
             prio_ptr = cp.crit_prio.ctypes.data
 
     socket_arr = np.asarray(sched._socket_of, dtype=np.int64)
@@ -463,7 +463,6 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
         rc = fn(ctypes.byref(args))
     if rc != _OK:
         if rc == _ERR_ZERO_RATE:
-            arena = cp.arena
             name = arena.names[int(arena.name_ids[args.err_a])]
             raise SchedulingError(
                 f"task {name!r} has demand in dim {args.err_b} "
@@ -472,7 +471,7 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
         if rc == _ERR_DEADLOCK:
             raise SchedulingError(
                 f"deadlock: {n - args.err_a} tasks left but nothing "
-                f"ready or running in graph {graph.name!r}"
+                f"ready or running in graph {arena.name!r}"
             )
         if rc == _ERR_NO_PROGRESS:
             raise SchedulingError(
@@ -513,14 +512,14 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     )
     rc_count = args.rec_count
     return Schedule(
-        graph_name=graph.name,
+        graph_name=arena.name,
         threads=threads,
         raw_records=(
             rec_tid[:rc_count].copy(),
             rec_core[:rc_count].copy(),
             rec_start[:rc_count].copy(),
             rec_end[:rc_count].copy(),
-            cp.arena.names_list,
+            arena.names_list,
         ),
         interval_array=iv_rows[:ivc].copy(),
         raw_busy=(b_core, b_start, b_end),
@@ -528,7 +527,7 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     )
 
 
-def run_compiled_or_fallback(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
+def run_compiled_or_fallback(sched: "Scheduler", arena: TaskArena) -> Schedule:
     """Run the compiled kernel, degrading to ``run_fast`` (counted,
     warn-once) when it cannot: ``execute=True`` (the C kernel is
     cost-only), JIT failure, or an internal kernel bound.  Workload
@@ -538,9 +537,9 @@ def run_compiled_or_fallback(sched: "Scheduler", graph: "TaskGraph") -> Schedule
 
     if sched.execute:
         record_fallback("execute=True (compiled kernel is cost-only)")
-        return run_fast(sched, graph)
+        return run_fast(sched, arena)
     try:
-        return run_compiled(sched, graph)
+        return run_compiled(sched, arena)
     except (_JitError, _KernelInternalError) as exc:
         record_fallback(str(exc))
-        return run_fast(sched, graph)
+        return run_fast(sched, arena)

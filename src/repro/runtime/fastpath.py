@@ -27,18 +27,17 @@ event kernels:
     affected entries get new exhaust times (found by scanning the
     ``running`` dict — at most P entries, cheaper than maintaining
     membership sets per dispatch/exhaust).
-  - a per-``(graph, machine)`` **seat plan** is lazily cached on the
-    graph (:data:`~repro.runtime.arena.FAST_PLAN_ATTR`): for every
+  - a per-``(arena, machine)`` **seat plan** is lazily cached on the
+    arena (:data:`~repro.runtime.arena.FAST_PLAN_ATTR`): for every
     task, the nonzero private dimensions with their precomputed
     ``(rate, d/rate, d/rate - EPS/rate)`` and the nonzero shared
     dimensions with their work.
     Dispatch then seats a task with a couple of adds and stores
     instead of re-deriving rates from ``TaskCost`` attributes on
     every run.  The plan comes from the builder the compiled engine
-    uses too (:func:`repro.runtime.seatplan.build_seat_plan`, over
-    the arena or an object graph's cached arena conversion), packed
+    uses too (:func:`repro.runtime.seatplan.build_seat_plan`), packed
     into per-task tuples; only the packed form is kept.  It is
-    rebuilt when the graph has grown or the machine constants differ.
+    rebuilt when the machine constants differ.
 
   The ``texp_adj`` store is a numpy array when ``P*5`` is large
   (vectorized ``argmin`` + compare) and a plain Python list of floats
@@ -49,12 +48,19 @@ event kernels:
   measured 2.4 µs vs 1.3 µs per event step on the tier-1 host.  Both
   stores hold identical values; only the min/compare step differs.
 
-The two kernels take identical scheduling *decisions* (same dispatch
-order, same core placement, same completion grouping), so makespans,
-task records and interval boundaries agree to float rounding
-(≲1e-12 relative — the reference decrements remaining work stepwise
-while the fast kernel keeps absolute exhaust times, so the last ulp
-can differ) and activity integrals agree to summation-order rounding.
+The two kernels are written to take the same scheduling *decisions*
+(same dispatch order, same core placement, same completion grouping).
+On the differential suite's graphs (random DAGs, Strassen lowerings)
+they do, and makespans, task records and interval boundaries agree to
+float rounding (≲1e-12 relative) and activity integrals to
+summation-order rounding.  The identity is not universal: the reference
+decrements remaining work stepwise while the fast kernel keeps absolute
+exhaust times, so two completions a few ulps apart can be one event in
+one kernel and two in the other, and the next dispatch then lands on a
+different core.  CAPS lowerings hit this (n=512, 2 threads, fifo: the
+first different placement is tid 1319, ``leaf/64``, and the makespans
+differ by 0.19%); it is an open defect (ROADMAP item 2), pinned by
+``xfail`` cases in ``tests/runtime/test_fastpath.py``.
 The one *structural* divergence: when a stepwise decrement leaves a
 sub-EPS work residue, the reference gives it a degenerate zero-width
 interval (``t_end == t_start`` after float absorption) while the fast
@@ -77,9 +83,9 @@ import numpy as np
 
 from ..observability.metrics import counter
 from ..util.errors import SchedulingError
-from .arena import FAST_PLAN_ATTR
+from .arena import FAST_PLAN_ATTR, TaskArena
 from .scheduler import Schedule, TaskRecord, _EPS
-from .seatplan import SeatPlan, arena_of, plan_for
+from .seatplan import SeatPlan, plan_for
 from .stats import RuntimeStats
 from .timeline import CoreTimeline
 
@@ -92,7 +98,6 @@ _SWEEPS = counter(
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .scheduler import Scheduler
-    from .task import TaskGraph
 
 __all__ = ["run_fast"]
 
@@ -118,7 +123,6 @@ class _FastPlan:
 
     __slots__ = (
         "key",          # (core_peak, l1_bw, l2_bw, l3_bw, dram_bw)
-        "n",            # task count the plan was built for
         "plans",        # list of per-task seat plans (see above)
         "zeros",        # list[bool]: task cost exactly zero (is_zero)
         "seeds",        # tids with no dependencies, in task order
@@ -151,7 +155,7 @@ def _pack(sp: SeatPlan) -> _FastPlan:
     pp = sp.priv_ptr.tolist()
     sh = sp.shr_ptr.tolist()
     fp = _FastPlan()
-    fp.key, fp.n, fp.crit_prio = sp.key, sp.n, None
+    fp.key, fp.crit_prio = sp.key, None
     fp.plans = [
         (priv[a:b], shr[c:d], alive0, affinity)
         for a, b, c, d, alive0, affinity in zip(
@@ -167,14 +171,14 @@ def _pack(sp: SeatPlan) -> _FastPlan:
     return fp
 
 
-def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
-    """Simulate *graph* with the incremental event kernel.
+def run_fast(sched: "Scheduler", arena: TaskArena) -> Schedule:
+    """Simulate *arena* with the incremental event kernel.
 
-    Mirrors :meth:`Scheduler._run_reference` decision-for-decision; see
-    the module docstring for the state layout.
+    Mirrors :meth:`Scheduler._run_reference`'s decisions; see the
+    module docstring for the state layout and where they part.
     """
-    graph.validate()
-    n = len(graph)
+    arena.validate()
+    n = len(arena)
     policy = sched.policy
     threads = sched.threads
     socket_of = sched._socket_of
@@ -183,8 +187,7 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     l3_bw = sched.machine.l3_bandwidth
     dram_bw = sched.machine.dram_bandwidth
 
-    fp = plan_for(sched, graph, FAST_PLAN_ATTR, _pack)
-    arena = arena_of(graph)
+    fp = plan_for(sched, arena, FAST_PLAN_ATTR, _pack)
     # Closures come from the arena alone (``None``: nothing to run).
     computes = arena.kernels if sched.execute else None
     plans = fp.plans
@@ -702,7 +705,7 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
             if done_count < n:
                 raise SchedulingError(
                     f"deadlock: {n - done_count} tasks left but nothing "
-                    f"ready or running in graph {graph.name!r}"
+                    f"ready or running in graph {arena.name!r}"
                 )
             break
 
@@ -866,7 +869,7 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
         steals=steals,
     )
     return Schedule(
-        graph_name=graph.name,
+        graph_name=arena.name,
         threads=threads,
         records=records,
         interval_array=np.array(intervals, dtype=np.float64).reshape(-1, 8),

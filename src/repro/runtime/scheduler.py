@@ -2,8 +2,12 @@
 
 This is the simulated analogue of the OpenMP runtime the paper runs on
 (BOTS tasking + work sharing, §IV-B/C).  ``P`` worker cores execute a
-:class:`~repro.runtime.task.TaskGraph`; each running task progresses
-simultaneously along its five cost dimensions:
+task graph; :meth:`Scheduler.run` takes a
+:class:`~repro.runtime.arena.TaskArena` or an object
+:class:`~repro.runtime.task.TaskGraph`, which it converts once
+(:func:`~repro.runtime.seatplan.arena_of`), and every engine reads the
+arena's columns.  Each running task progresses simultaneously along its
+five cost dimensions:
 
 * compute — private, at ``efficiency * core_peak`` flop/s;
 * L1/L2 fill — private, at the per-core cache bandwidths;
@@ -29,7 +33,7 @@ import heapq
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import TYPE_CHECKING, Literal, Sequence
 
 import numpy as np
 
@@ -37,10 +41,12 @@ from ..machine.specs import MachineSpec
 from ..observability import trace
 from ..observability.metrics import counter
 from ..util.errors import ConfigurationError, SchedulingError
-from .cost import TaskCost
-from .task import Task, TaskGraph
 from .timeline import CoreTimeline
 from .stats import RuntimeStats
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .arena import TaskArena
+    from .task import TaskGraph
 
 #: Contention sweeps performed by the reference event kernel.  The
 #: fast kernel's twin lives in ``repro.runtime.fastpath``; both tally
@@ -325,10 +331,10 @@ class Schedule:
 class _Running:
     """Book-keeping for one in-flight task."""
 
-    __slots__ = ("task", "core", "start", "remaining")
+    __slots__ = ("tid", "core", "start", "remaining")
 
-    def __init__(self, task: Task, core: int, start: float, remaining: list[float]):
-        self.task = task
+    def __init__(self, tid: int, core: int, start: float, remaining: list[float]):
+        self.tid = tid
         self.core = core
         self.start = start
         self.remaining = remaining
@@ -417,50 +423,40 @@ class Scheduler:
 
     # ---- per-task helpers ---------------------------------------------
 
-    def _remaining_vector(self, cost: TaskCost) -> list[float]:
-        return [cost.flops, cost.bytes_l1, cost.bytes_l2, cost.bytes_l3, cost.bytes_dram]
+    @property
+    def rate_key(self) -> tuple[float, float, float, float, float]:
+        """``(core_peak, l1_bw, l2_bw, l3_bw, dram_bw)``: the machine
+        constants a seat plan and the uncontended durations depend on
+        (``TaskArena.uncontended_durations(*sched.rate_key)``)."""
+        m = self.machine
+        return (self._core_peak, self._l1_bw, self._l2_bw, m.l3_bandwidth, m.dram_bandwidth)
 
-    def _private_rates(self, cost: TaskCost) -> tuple[float, float, float]:
-        """(flop, L1-fill, L2-fill) rates — independent of contention."""
-        return (cost.efficiency * self._core_peak, self._l1_bw, self._l2_bw)
-
-    def uncontended_duration(self, task: Task) -> float:
-        """Duration of *task* when it is alone on the machine — used for
-        critical-path metrics and Graham-bound tests."""
-        c = task.cost
-        if c.is_zero:
-            return 0.0
-        flop_rate, l1_rate, l2_rate = self._private_rates(c)
-        times = [
-            c.flops / flop_rate if c.flops else 0.0,
-            c.bytes_l1 / l1_rate if c.bytes_l1 else 0.0,
-            c.bytes_l2 / l2_rate if c.bytes_l2 else 0.0,
-            c.bytes_l3 / self.machine.l3_bandwidth if c.bytes_l3 else 0.0,
-            c.bytes_dram / self.machine.dram_bandwidth if c.bytes_dram else 0.0,
-        ]
-        return max(times)
+    def uncontended_duration(self, efficiency: float, demand: Sequence[float]) -> float:
+        """Duration of a task with *efficiency* and the five-dimension
+        *demand* ``(flops, l1, l2, l3, dram)`` when it is alone on the
+        machine — the scalar term of the critical-policy priority."""
+        flops, b1, b2, b3, bd = demand
+        return max(
+            flops / (efficiency * self._core_peak) if flops else 0.0,
+            b1 / self._l1_bw if b1 else 0.0,
+            b2 / self._l2_bw if b2 else 0.0,
+            b3 / self.machine.l3_bandwidth if b3 else 0.0,
+            bd / self.machine.dram_bandwidth if bd else 0.0,
+        )
 
     # ---- main loop -----------------------------------------------------
 
-    def run(self, graph: TaskGraph) -> Schedule:
+    def run(self, graph: "TaskGraph | TaskArena") -> Schedule:
         """Simulate *graph* to completion and return the schedule.
 
-        Dispatches to the configured event kernel; both kernels take
-        identical scheduling decisions (see ``repro.runtime.fastpath``).
-        Accepts a columnar :class:`~repro.runtime.arena.TaskArena` too:
-        the fast engine consumes its CSR arrays natively, while the
-        reference oracle inflates it to ``Task`` objects first.  An
-        arena without kernels is cost-only, so ``execute=True`` on one
-        is rejected.
+        An object graph is converted to its cached arena once, here;
+        the configured event kernel then reads the arena only.  A
+        lowering arena without kernels is cost-only, so ``execute=True``
+        on one is rejected (an object graph always converts with a
+        kernel table, if only of ``None`` entries).
         """
-        from .arena import TaskArena
+        from .seatplan import arena_of
 
-        is_arena = isinstance(graph, TaskArena)
-        if is_arena and self.execute and graph.kernels is None:
-            raise SchedulingError(
-                f"graph {graph.name!r} is a cost-only TaskArena (no "
-                f"kernels); lower with execute=True to run real numerics"
-            )
         with trace.span(
             "schedule",
             graph=graph.name,
@@ -469,34 +465,53 @@ class Scheduler:
             engine=self.engine,
             policy=self.policy,
         ):
+            arena = arena_of(graph)
+            if self.execute and arena.kernels is None:
+                raise SchedulingError(
+                    f"graph {arena.name!r} is a cost-only TaskArena (no "
+                    f"kernels); lower with execute=True to run real numerics"
+                )
             if self.engine == "fast":
                 from .fastpath import run_fast
 
-                return run_fast(self, graph)
+                return run_fast(self, arena)
             if self.engine == "compiled":
                 from .compiledpath import run_compiled_or_fallback
 
-                return run_compiled_or_fallback(self, graph)
-            if is_arena:
-                graph = graph.to_graph()
-            return self._run_reference(graph)
+                return run_compiled_or_fallback(self, arena)
+            return self._run_reference(arena)
 
-    def _run_reference(self, graph: TaskGraph) -> Schedule:
-        """The original per-event scalar loop — the differential oracle
-        for the vectorized kernel.  Kept verbatim; do not optimize."""
-        graph.validate()
-        n = len(graph)
-        indegree = [len(t.deps) for t in graph.tasks]
+    def _run_reference(self, arena: "TaskArena") -> Schedule:
+        """The per-event scalar loop — the differential oracle for the
+        vectorized kernels, pinned by ``tests/golden/reference.json``.
+        It reads plain per-tid values from the arena (demand rows,
+        successor and creator lists, untied flags, kernels); do not
+        optimize."""
+        arena.validate()
+        n = len(arena)
+        names = arena.names_list()
+        successors = arena.successors_lists()
+        created_by = arena.created_by_list()
+        untied = arena.untied.tolist()
+        efficiency = arena.efficiency.tolist()
+        demand = list(zip(*(
+            getattr(arena, f).tolist()
+            for f in ("flops", "bytes_l1", "bytes_l2", "bytes_l3", "bytes_dram")
+        )))
+        is_zero = arena.zero_cost().tolist()
+        kernels = (arena.kernels if self.execute else None) or [None] * n
+        indegree = arena.dep_counts.tolist()
         completed = [False] * n
 
         # Priority for the "critical" policy: longest path to any sink.
         priority: list[float] | None = None
         if self.policy == "critical":
             priority = [0.0] * n
-            for task in reversed(graph.tasks):
-                succs = graph.successors(task.tid)
-                below = max((priority[s] for s in succs), default=0.0)
-                priority[task.tid] = self.uncontended_duration(task) + below
+            for tid in range(n - 1, -1, -1):
+                below = max((priority[s] for s in successors[tid]), default=0.0)
+                priority[tid] = (
+                    self.uncontended_duration(efficiency[tid], demand[tid]) + below
+                )
 
         ready_fifo: deque[int] = deque()
         ready_lifo: list[int] = []
@@ -517,7 +532,7 @@ class Scheduler:
                 assert priority is not None
                 heapq.heappush(ready_heap, (-priority[tid], tid))
             else:  # steal
-                creator = graph.tasks[tid].created_by
+                creator = created_by[tid]
                 home = task_core.get(creator) if creator is not None else None
                 if home is None:
                     shared_inbox.append(tid)
@@ -566,27 +581,26 @@ class Scheduler:
             nonlocal done_count
             completed[tid] = True
             done_count += 1
-            for succ in graph.successors(tid):
+            for succ in successors[tid]:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
-                    stask = graph.tasks[succ]
-                    if stask.cost.is_zero:
-                        if self.execute and stask.compute is not None:
-                            stask.compute()
-                        records.append(TaskRecord(succ, stask.name, -1, when, when))
+                    if is_zero[succ]:
+                        if kernels[succ] is not None:
+                            kernels[succ]()
+                        records.append(TaskRecord(succ, names[succ], -1, when, when))
                         complete(succ, when)
                     else:
                         push_ready(succ)
 
         # Seed: sources (zero-cost sources cascade immediately).
-        for task in graph.sources():
-            if task.cost.is_zero:
-                if self.execute and task.compute is not None:
-                    task.compute()
-                records.append(TaskRecord(task.tid, task.name, -1, 0.0, 0.0))
-                complete(task.tid, 0.0)
+        for tid in [t for t in range(n) if not indegree[t]]:
+            if is_zero[tid]:
+                if kernels[tid] is not None:
+                    kernels[tid]()
+                records.append(TaskRecord(tid, names[tid], -1, 0.0, 0.0))
+                complete(tid, 0.0)
             else:
-                push_ready(task.tid)
+                push_ready(tid)
 
         dram_bw = self.machine.dram_bandwidth
         l3_bw = self.machine.l3_bandwidth
@@ -597,36 +611,33 @@ class Scheduler:
                 core = free_cores[-1]
                 if self.policy == "steal":
                     tid = pop_for_core(core)
-                    task = graph.tasks[tid]
                 else:
                     tid = pop_ready()
-                    task = graph.tasks[tid]
                     # Tied tasks prefer their creator's core when available.
-                    if not task.untied and task.created_by is not None:
-                        want = task_core.get(task.created_by)
+                    if not untied[tid] and created_by[tid] is not None:
+                        want = task_core.get(created_by[tid])
                         if want is not None and want in free_cores:
                             core = want
                         elif want is not None:
                             steals += 1
                 free_cores.remove(core)
+                creator = created_by[tid]
                 if (
-                    task.created_by is not None
-                    and task_core.get(task.created_by) is not None
-                    and task_core[task.created_by] != core
+                    creator is not None
+                    and task_core.get(creator) is not None
+                    and task_core[creator] != core
                 ):
                     migrations += 1
-                if self.execute and task.compute is not None:
-                    task.compute()
-                running[core] = _Running(
-                    task, core, t, self._remaining_vector(task.cost)
-                )
+                if kernels[tid] is not None:
+                    kernels[tid]()
+                running[core] = _Running(tid, core, t, list(demand[tid]))
                 task_core[tid] = core
 
             if not running:
                 if done_count < n:
                     raise SchedulingError(
                         f"deadlock: {n - done_count} tasks left but nothing "
-                        f"ready or running in graph {graph.name!r}"
+                        f"ready or running in graph {arena.name!r}"
                     )
                 break
 
@@ -645,7 +656,8 @@ class Scheduler:
             dt = float("inf")
             rates: dict[int, list[float]] = {}
             for core, r in running.items():
-                flop_rate, l1_rate, l2_rate = self._private_rates(r.task.cost)
+                flop_rate = efficiency[r.tid] * self._core_peak
+                l1_rate, l2_rate = self._l1_bw, self._l2_bw
                 socket_users = l3_users_by_socket[self._socket_of[core]]
                 l3_share = l3_bw / socket_users if socket_users else 0.0
                 rate = [flop_rate, l1_rate, l2_rate, l3_share, dram_share]
@@ -655,7 +667,7 @@ class Scheduler:
                     if rem > _EPS:
                         if rate[dim] <= 0:
                             raise SchedulingError(
-                                f"task {r.task.name!r} has demand in dim {dim} "
+                                f"task {names[r.tid]!r} has demand in dim {dim} "
                                 f"but zero service rate"
                             )
                         dt = min(dt, rem / rate[dim])
@@ -696,10 +708,10 @@ class Scheduler:
 
             for core in finished:
                 r = running.pop(core)
-                records.append(TaskRecord(r.task.tid, r.task.name, core, r.start, t))
+                records.append(TaskRecord(r.tid, names[r.tid], core, r.start, t))
                 timelines[core].add_busy(r.start, t)
                 free_cores.append(core)
-                complete(r.task.tid, t)
+                complete(r.tid, t)
 
         for tl in timelines:
             tl.close(t)
@@ -714,7 +726,7 @@ class Scheduler:
             steals=steals,
         )
         return Schedule(
-            graph_name=graph.name,
+            graph_name=arena.name,
             threads=self.threads,
             records=records,
             intervals=intervals,

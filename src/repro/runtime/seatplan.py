@@ -8,14 +8,16 @@ on every run.  This module is the one place that plan is derived: from a
 arithmetic, into a :class:`SeatPlan` of contiguous arrays (CSR seat
 entries, successor CSR, per-task flags).  The compiled kernel reads the
 arrays as they are; the fast kernel packs them into per-task tuples.
-An object :class:`~repro.runtime.task.TaskGraph` is columnized first
-(:func:`arena_of`), so both engines price both graph shapes through the
-same expressions.
 
-Each engine caches what it keeps on the graph under its own attribute
+:func:`arena_of` is the one place a graph's shape is told apart: an
+object :class:`~repro.runtime.task.TaskGraph` is columnized once (and
+again after it grows), and every consumer downstream of
+``Scheduler.run`` takes the arena only.
+
+Each engine caches what it keeps on the arena under its own attribute
 (:data:`~repro.runtime.arena.PLAN_ATTRS`), keyed by the machine
-constants and the task count: a machine change or a grown graph
-rebuilds the plan.
+constants: a machine change rebuilds the plan, and a grown object graph
+gets a fresh arena with no plan yet.
 """
 
 from __future__ import annotations
@@ -38,15 +40,13 @@ ARENA_ATTR = "_seatplan_arena"
 
 
 class SeatPlan:
-    """Everything an event kernel reads for one ``(graph, machine)``, as
+    """Everything an event kernel reads for one ``(arena, machine)``, as
     contiguous arrays: the private-seat CSR over ``(dim, rate, dur,
     adj_dur, demand)`` entries, the shared-seat CSR over ``(dim, work)``
     entries, per-task flags, the successor CSR and the source tids."""
 
     __slots__ = (
         "key",            # (core_peak, l1_bw, l2_bw, l3_bw, dram_bw)
-        "n",              # task count the plan was built for
-        "arena",          # the columns it was built from (names, priorities)
         "priv_ptr", "priv_dim", "priv_rate", "priv_dur", "priv_adj",
         "priv_dem",
         "shr_ptr", "shr_dim", "shr_work",
@@ -109,7 +109,7 @@ def build_seat_plan(arena: TaskArena, key: tuple) -> SeatPlan:
     shared = np.stack((b3 > eps, bd > eps), axis=1)
 
     sp = SeatPlan()
-    sp.key, sp.n, sp.arena, sp.crit_prio = key, n, arena, None
+    sp.key, sp.crit_prio = key, None
     (sp.priv_ptr, sp.priv_dim, sp.priv_rate, sp.priv_dur, sp.priv_adj,
      sp.priv_dem) = _csr(
         priv,
@@ -129,9 +129,7 @@ def build_seat_plan(arena: TaskArena, key: tuple) -> SeatPlan:
     sp.created = np.where(has_creator, arena.created_by, -1)
     sp.any_created = bool(has_creator.any())
     sp.affinity = (has_creator & ~arena.untied).astype(np.uint8)
-    sp.zeros = (
-        (f == 0.0) & (b1 == 0.0) & (b2 == 0.0) & (b3 == 0.0) & (bd == 0.0)
-    ).astype(np.uint8)
+    sp.zeros = arena.zero_cost().astype(np.uint8)
     sp.indeg0 = np.ascontiguousarray(arena.dep_counts, dtype=np.int64)
     sp.seeds = np.flatnonzero(sp.indeg0 == 0).astype(np.int64)
     sp.total_entries = int(np.maximum(sp.alive0, 0).sum())
@@ -139,39 +137,43 @@ def build_seat_plan(arena: TaskArena, key: tuple) -> SeatPlan:
     return sp
 
 
-def arena_of(graph: "TaskGraph") -> TaskArena:
+def arena_of(graph: "TaskGraph | TaskArena") -> TaskArena:
     """*graph* as columns: itself when already an arena, else its
     ``TaskArena.from_graph`` conversion, cached on the graph and
-    rebuilt when the graph has grown since."""
+    rebuilt when the graph has grown since.
+
+    An object graph is always executable (a task without a closure has
+    nothing to run), so its conversion carries a kernel table even when
+    every entry is ``None``; only an arena lowered cost-only has none.
+    """
     if isinstance(graph, TaskArena):
         return graph
     arena: TaskArena | None = getattr(graph, ARENA_ATTR, None)
     if arena is None or len(arena) != len(graph):
         arena = TaskArena.from_graph(graph)
+        arena.kernels = arena.kernels or [None] * len(arena)
         setattr(graph, ARENA_ATTR, arena)
     return arena
 
 
 def plan_for(
     sched: "Scheduler",
-    graph: "TaskGraph",
+    arena: TaskArena,
     attr: str,
     derive: Callable[[SeatPlan], object] | None = None,
 ):
-    """Fetch or build the plan an engine caches on *graph* under *attr*.
+    """Fetch or build the plan an engine caches on *arena* under *attr*.
 
     The cached object (a :class:`SeatPlan`, or whatever *derive* makes
-    of a freshly built one — it must carry ``key`` and ``n``) stays
-    valid while *sched*'s machine constants match and the graph has
-    not grown; otherwise it is rebuilt from :func:`arena_of`.
+    of a freshly built one — it must carry ``key``) stays valid while
+    *sched*'s machine constants match; otherwise it is rebuilt.
     """
-    m = sched.machine
-    key = (sched._core_peak, sched._l1_bw, sched._l2_bw, m.l3_bandwidth, m.dram_bandwidth)
-    plan = getattr(graph, attr, None)
-    if plan is None or plan.key != key or plan.n != len(graph):
-        plan = build_seat_plan(arena_of(graph), key)
+    key = sched.rate_key
+    plan = getattr(arena, attr, None)
+    if plan is None or plan.key != key:
+        plan = build_seat_plan(arena, key)
         if derive is not None:
             plan = derive(plan)
-        setattr(graph, attr, plan)
+        setattr(arena, attr, plan)
     return plan
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from ..machine.specs import MachineSpec
 from ..runtime.arena import TaskArena
 from ..runtime.scheduler import Schedule
-from ..runtime.seatplan import arena_of
-from ..runtime.task import TaskGraph
 from ..util.errors import ValidationError
 from ..util.tables import TextTable
 
@@ -47,9 +45,10 @@ def _prefix(name: str) -> str:
 
 
 def attribute_energy(
-    schedule: Schedule, graph: TaskGraph | TaskArena, machine: MachineSpec
+    schedule: Schedule, arena: TaskArena, machine: MachineSpec
 ) -> dict[str, TaskEnergy]:
-    """Attribute the run's energy to task-name prefixes.
+    """Attribute the run's energy to task-name prefixes of *arena* (an
+    object graph's is ``seatplan.arena_of(graph)``).
 
     Dynamic energy is exact per task — its cost vector priced by the
     energy model (core-active power over its busy time, joules per flop
@@ -60,7 +59,6 @@ def attribute_energy(
     """
     em = machine.energy
     dvfs = machine.dvfs_factor
-    arena = arena_of(graph)
     flops, b1, b2, b3, bd = (
         getattr(arena, f).tolist()
         for f in ("flops", "bytes_l1", "bytes_l2", "bytes_l3", "bytes_dram")

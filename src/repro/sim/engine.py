@@ -1,7 +1,9 @@
 """Execution engine: schedule a task graph, account energy, emit traces.
 
 The engine is the simulated analogue of the paper's instrumented test
-driver (§V-C): it runs a workload (a :class:`TaskGraph`) at a given
+driver (§V-C): it runs a workload (a lowered
+:class:`~repro.runtime.arena.TaskArena`, or an object
+:class:`~repro.runtime.task.TaskGraph`) at a given
 thread count, integrates the energy model over the schedule's activity
 intervals, deposits joules into the emulated RAPL MSRs (so a PAPI event
 set wrapped around :meth:`Engine.run` observes the run exactly as the
@@ -28,6 +30,7 @@ from ..runtime.scheduler import (
     Scheduler,
     SchedulerEngine,
 )
+from ..runtime.arena import TaskArena
 from ..runtime.task import TaskGraph
 from ..util.errors import ConfigurationError
 from ..util.validation import require_positive
@@ -81,7 +84,7 @@ class Engine:
 
     def run(
         self,
-        graph: TaskGraph,
+        graph: TaskGraph | TaskArena,
         threads: int,
         policy: SchedulePolicy = "fifo",
         execute: bool = True,

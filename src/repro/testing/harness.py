@@ -43,6 +43,7 @@ from ..algorithms.registry import make_algorithm
 from ..sim.engine import Engine
 from ..sim.measurement import RunMeasurement
 from ..runtime.scheduler import Scheduler
+from ..runtime.seatplan import arena_of
 from .faults import check_fault_modes
 from .generators import (
     AlgorithmCase,
@@ -161,7 +162,7 @@ def verify_case(
         if mutator is not None:
             measurement = mutator(measurement)
         violations = check_measurement(
-            case.machine, case.graph, case.threads, schedule, measurement
+            case.machine, arena_of(case.graph), case.threads, schedule, measurement
         )
         violations += differential_engine_check(case)
         return violations

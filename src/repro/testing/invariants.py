@@ -63,8 +63,8 @@ from ..core.ep import EPMeasurement
 from ..core.scaling import ScalingClass, classify_scaling, linear_threshold, scaling_series
 from ..machine.specs import MachineSpec
 from ..power.planes import Plane, aggregate_planes
+from ..runtime.arena import _COST_FIELDS, NO_CREATOR, TaskArena
 from ..runtime.scheduler import Schedule, Scheduler
-from ..runtime.task import TaskGraph
 from ..sim.measurement import RunMeasurement
 from ..util.errors import SimulationError
 
@@ -116,17 +116,18 @@ def _close(a: float, b: float, rel: float = _REL) -> bool:
 
 def check_measurement(
     machine: MachineSpec,
-    graph: TaskGraph,
+    arena: TaskArena,
     threads: int,
     schedule: Schedule,
     measurement: RunMeasurement,
 ) -> list[Violation]:
-    """All single-run invariants for one simulated execution."""
+    """All single-run invariants for one simulated execution of
+    *arena* (an object graph's is ``seatplan.arena_of(graph)``)."""
     out: list[Violation] = []
     out += _check_energy_conservation(machine, measurement)
     out += _check_interval_power(machine, measurement)
-    out += _check_schedule_feasibility(machine, graph, threads, schedule)
-    out += _check_work_conservation(graph, measurement)
+    out += _check_schedule_feasibility(machine, arena, threads, schedule)
+    out += _check_work_conservation(arena, measurement)
     return out
 
 
@@ -228,7 +229,7 @@ def _check_interval_power(machine: MachineSpec, m: RunMeasurement) -> list[Viola
 
 
 def _check_schedule_feasibility(
-    machine: MachineSpec, graph: TaskGraph, threads: int, schedule: Schedule
+    machine: MachineSpec, arena: TaskArena, threads: int, schedule: Schedule
 ) -> list[Violation]:
     """Makespan floors and interval structure."""
     out: list[Violation] = []
@@ -238,8 +239,8 @@ def _check_schedule_feasibility(
         return out
 
     # Critical path: contention can only slow tasks, never speed them up.
-    duration_of = Scheduler(machine, threads, "fifo", execute=False).uncontended_duration
-    critical = graph.critical_path_seconds(duration_of)
+    rate_key = Scheduler(machine, threads, "fifo", execute=False).rate_key
+    critical = arena.critical_path_seconds(arena.uncontended_durations(*rate_key))
     if makespan < critical * (1 - _REL):
         out.append(
             Violation(
@@ -249,16 +250,13 @@ def _check_schedule_feasibility(
         )
 
     # Aggregate work bounds, one per resource dimension.
-    flop_time = 0.0
-    b1 = b2 = b3 = bd = 0.0
-    for t in graph.tasks:
-        c = t.cost
-        if c.flops:
-            flop_time += c.flops / c.efficiency
-        b1 += c.bytes_l1
-        b2 += c.bytes_l2
-        b3 += c.bytes_l3
-        bd += c.bytes_dram
+    flops = arena.flops
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flop_time = float(np.where(flops != 0.0, flops / arena.efficiency, 0.0).sum())
+    b1, b2, b3, bd = (
+        float(getattr(arena, f).sum())
+        for f in ("bytes_l1", "bytes_l2", "bytes_l3", "bytes_dram")
+    )
     sockets = len(machine.topology.sockets)
     l1_bw = machine.caches.level("L1").bandwidth_bytes_per_s
     l2_bw = machine.caches.level("L2").bandwidth_bytes_per_s
@@ -317,23 +315,22 @@ def _check_schedule_feasibility(
     return out
 
 
-def _check_work_conservation(graph: TaskGraph, m: RunMeasurement) -> list[Violation]:
+def _check_work_conservation(arena: TaskArena, m: RunMeasurement) -> list[Violation]:
     """Measured activity totals must equal the graph's demand sums."""
     out: list[Violation] = []
-    total = graph.total_cost()
-    if not _close(m.flops, total.flops):
+    flops, dram = float(arena.flops.sum()), float(arena.bytes_dram.sum())
+    if not _close(m.flops, flops):
         out.append(
             Violation(
                 "work.flops",
-                f"measured {m.flops} flops != graph total {total.flops}",
+                f"measured {m.flops} flops != graph total {flops}",
             )
         )
-    if not _close(m.bytes_dram, total.bytes_dram):
+    if not _close(m.bytes_dram, dram):
         out.append(
             Violation(
                 "work.dram_bytes",
-                f"measured {m.bytes_dram} DRAM bytes != graph total "
-                f"{total.bytes_dram}",
+                f"measured {m.bytes_dram} DRAM bytes != graph total {dram}",
             )
         )
     return out
@@ -712,14 +709,13 @@ def check_lowering(case) -> list[Violation]:
     :class:`~repro.testing.generators.LoweringCase`), independent of
     how the lowering stamps its arena; see the module docstring."""
     from ..algorithms.registry import make_algorithm
-    from ..runtime.arena import NO_CREATOR, TaskArena
 
     where = case.describe()
     alg = make_algorithm(case.algorithm, case.machine)
     arena = alg.build(case.n, case.threads, execute=False).graph
-    if not isinstance(arena, TaskArena) or arena.kernels is not None:
-        return [Violation("lowering.path", f"{where}: cost-only build is a "
-                          f"{type(arena).__name__}, not a kernel-less TaskArena")]
+    if arena.kernels is not None:
+        return [Violation("lowering.path", f"{where}: cost-only build "
+                          f"carries kernels")]
     out: list[Violation] = []
     counts = arena.counts_by_prefix()
     packs = sum(c for p, c in counts.items() if p.startswith(("bfs-pack", "bfs-unpack")))
@@ -752,8 +748,6 @@ def check_lowering(case) -> list[Violation]:
 def _check_executed_lowering(case, alg, arena) -> list[Violation]:
     """The executed build is the cost-only arena plus ``unpad`` when
     padded, carries one kernel per tid, and computes ``A @ B``."""
-    from ..runtime.arena import _COST_FIELDS, TaskArena
-
     where = case.describe()
     try:
         build = alg.build(case.n, case.threads, execute=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.mixed import BlockLU, mixed_ep
+from repro.runtime.seatplan import arena_of
 from repro.sim import Engine
 from repro.util.errors import ValidationError
 
@@ -60,7 +61,7 @@ class TestStructure:
 
     def test_task_kinds_present(self, lu):
         build = lu.build(256, threads=2, execute=False)
-        counts = build.graph.counts_by_prefix()
+        counts = arena_of(build.graph).counts_by_prefix()
         assert counts["seq-panel"] == 4
         assert any(k.startswith("par-update") for k in counts)
         assert any(k.startswith("solves") for k in counts)
@@ -69,7 +70,7 @@ class TestStructure:
         """The parallel trailing updates carry most of the arithmetic —
         LU's Amdahl structure."""
         build = lu.build(512, threads=4, execute=False)
-        total = build.graph.total_cost().flops
+        total = float(arena_of(build.graph).flops.sum())
         seq = sum(
             t.cost.flops for t in build.graph if t.name.startswith("seq-")
         )

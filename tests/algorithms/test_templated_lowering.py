@@ -19,9 +19,11 @@ import pytest
 from repro.algorithms.blocked import BlockedGemm
 from repro.algorithms.caps import CapsStrassen
 from repro.algorithms.strassen import StrassenWinograd
-from repro.runtime.arena import TaskArena
+from repro.runtime.arena import _COST_FIELDS, TaskArena
+from repro.runtime.cost import TaskCost
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.shm import ArenaPool, detach_arena, shm_available
+from repro.runtime.task import TaskGraph
 from repro.testing.oracle import compare_schedules
 from repro.util.errors import SchedulingError
 
@@ -166,13 +168,26 @@ class TestKernels:
         assert not build.c.any()  # never silently "ran" into C
 
 
+def _object_form(arena):
+    """*arena* re-added row by row through the ``TaskGraph`` builder."""
+    g = TaskGraph(arena.name)
+    names, created = arena.names_list(), arena.created_by_list()
+    ptr, flat = arena.dep_indptr.tolist(), arena.dep_indices.tolist()
+    costs = zip(*(getattr(arena, f).tolist() for f in _COST_FIELDS))
+    for tid, cost in enumerate(costs):
+        g.add(names[tid], TaskCost(*cost), deps=flat[ptr[tid] : ptr[tid + 1]],
+              untied=bool(arena.untied[tid]), created_by=created[tid])
+    return g
+
+
 class TestScheduling:
     def test_fast_engine_identical_on_both_shapes(self, machine):
-        # The arena and its to_graph() object form schedule identically.
+        # A lowering and the same rows added through the object builder
+        # schedule identically.
         for alg in (StrassenWinograd(machine), CapsStrassen(machine)):
             for policy in ("fifo", "critical"):
                 arena = alg.build(256, 3, execute=False).graph
-                obj = arena.to_graph()
+                obj = _object_form(arena)
                 fa = Scheduler(
                     machine, 3, policy, execute=False, engine="fast"
                 ).run(arena)

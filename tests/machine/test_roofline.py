@@ -53,7 +53,8 @@ def test_locate_blocked_gemm_is_compute_bound_at_one_core(machine):
     from repro.algorithms.blocked import BlockedGemm
 
     alg = BlockedGemm(machine)
-    total = alg.build(1024, threads=1, execute=False).graph.to_graph().total_cost()
+    arena = alg.build(1024, threads=1, execute=False).graph
+    total = TaskCost(flops=float(arena.flops.sum()), bytes_dram=float(arena.bytes_dram.sum()))
     assert locate(machine, total, cores=1).is_compute_bound
 
 

@@ -1,5 +1,6 @@
-"""The columnar SoA/CSR task arena: round-trips, vectorized metrics,
-validation, pickling, and the scheduler bridge."""
+"""The columnar SoA/CSR task arena: conversion from the object builder,
+vectorized metrics against a scalar oracle, validation, pickling, and
+the scheduler bridge."""
 
 import pickle
 
@@ -16,6 +17,7 @@ from repro.runtime.arena import (
 )
 from repro.runtime.cost import ZERO_COST, TaskCost
 from repro.runtime.scheduler import Scheduler
+from repro.runtime.seatplan import arena_of
 from repro.runtime.task import TaskGraph
 from repro.testing.generators import gen_graph_case
 from repro.testing.oracle import compare_schedules
@@ -27,31 +29,28 @@ def _random_graph(seed):
 
 
 # ---------------------------------------------------------------------------
-# round-trips
+# conversion from the object builder
 
 
 class TestRoundTrip:
-    def test_graph_arena_graph_is_bit_identical(self):
-        for seed in range(25):
-            g = _random_graph(seed)
-            arena = TaskArena.from_graph(g)
-            back = arena.to_graph()
-            assert arena.structural_diff(TaskArena.from_graph(back)) == [], seed
-
     def test_round_trip_preserves_every_field(self):
         g = _random_graph(7)
-        back = TaskArena.from_graph(g).to_graph()
-        assert len(back) == len(g)
-        assert back.name == g.name
-        for a, b in zip(g.tasks, back.tasks):
-            assert (a.tid, a.name, a.deps, a.untied, a.created_by) == (
-                b.tid,
-                b.name,
-                b.deps,
-                b.untied,
-                b.created_by,
+        arena = TaskArena.from_graph(g)
+        assert len(arena) == len(g)
+        assert arena.name == g.name
+        names, created = arena.names_list(), arena.created_by_list()
+        ptr, flat = arena.dep_indptr.tolist(), arena.dep_indices.tolist()
+        for t in g:
+            i = t.tid
+            assert (names[i], tuple(flat[ptr[i] : ptr[i + 1]]),
+                    bool(arena.untied[i]), created[i]) == (
+                t.name, t.deps, t.untied, t.created_by
             )
-            assert a.cost == b.cost
+            assert TaskCost(
+                *(float(getattr(arena, f)[i]) for f in (
+                    "flops", "efficiency", "bytes_l1", "bytes_l2",
+                    "bytes_l3", "bytes_dram"))
+            ) == t.cost
 
     def test_round_trip_carries_compute_closures(self):
         g = TaskGraph("with-compute")
@@ -60,8 +59,6 @@ class TestRoundTrip:
         g.add("t1", TaskCost(flops=1.0), deps=[0])
         arena = TaskArena.from_graph(g)
         assert arena.kernels == [fn, None]
-        back = arena.to_graph()
-        assert [t.compute for t in back.tasks] == [fn, None]
         # Kernels are process-local: a pickled clone is cost-only.
         assert pickle.loads(pickle.dumps(arena)).kernels is None
         assert TaskArena.from_graph(TaskGraph("bare")).kernels is None
@@ -69,8 +66,11 @@ class TestRoundTrip:
     def test_successors_match_object_append_order(self):
         for seed in range(10):
             g = _random_graph(seed)
-            arena = TaskArena.from_graph(g)
-            assert arena.successors_lists() == g._successors, seed
+            want = [[] for _ in range(len(g))]
+            for t in g:
+                for d in t.deps:
+                    want[d].append(t.tid)
+            assert TaskArena.from_graph(g).successors_lists() == want, seed
 
     def test_structural_diff_detects_cost_skew(self):
         g = _random_graph(3)
@@ -80,27 +80,39 @@ class TestRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# vectorized metrics vs the object graph's scalar sweeps
+# vectorized metrics vs an independent scalar oracle
+
+
+def _scalar_durations(sched, graph):
+    """Per-task uncontended durations, one scalar call per task."""
+    return [
+        sched.uncontended_duration(t.cost.efficiency, (
+            t.cost.flops, t.cost.bytes_l1, t.cost.bytes_l2,
+            t.cost.bytes_l3, t.cost.bytes_dram))
+        for t in graph
+    ]
+
+
+def _scalar_critical_path(graph, durs):
+    """Longest dependency chain: one forward pass in creation order,
+    which is topological by construction."""
+    finish = [0.0] * len(graph)
+    for t in graph:
+        finish[t.tid] = max((finish[d] for d in t.deps), default=0.0) + durs[t.tid]
+    return max(finish, default=0.0)
 
 
 class TestMetrics:
     def _durations(self, machine, graph, arena):
         sched = Scheduler(machine, threads=1, execute=False)
-        durs = arena.uncontended_durations(
-            sched._core_peak,
-            sched._l1_bw,
-            sched._l2_bw,
-            machine.l3_bandwidth,
-            machine.dram_bandwidth,
-        )
-        return sched.uncontended_duration, durs
+        return _scalar_durations(sched, graph), arena.uncontended_durations(*sched.rate_key)
 
     def test_critical_path_exact(self):
         for seed in range(20):
             case = gen_graph_case(seed, max_tasks=60)
             arena = TaskArena.from_graph(case.graph)
-            fn, durs = self._durations(case.machine, case.graph, arena)
-            assert case.graph.critical_path_seconds(fn) == (
+            scalar, durs = self._durations(case.machine, case.graph, arena)
+            assert _scalar_critical_path(case.graph, scalar) == (
                 arena.critical_path_seconds(durs)
             ), seed
 
@@ -110,25 +122,22 @@ class TestMetrics:
         for seed in range(20):
             case = gen_graph_case(seed, max_tasks=60)
             arena = TaskArena.from_graph(case.graph)
-            fn, durs = self._durations(case.machine, case.graph, arena)
-            a = case.graph.total_work_seconds(fn)
-            b = arena.total_work_seconds(durs)
-            assert a == pytest.approx(b, rel=1e-12), seed
+            scalar, durs = self._durations(case.machine, case.graph, arena)
+            assert sum(scalar) == pytest.approx(arena.total_work_seconds(durs), rel=1e-12), seed
 
     def test_average_parallelism_consistent(self):
         case = gen_graph_case(11, max_tasks=60)
         arena = TaskArena.from_graph(case.graph)
-        fn, durs = self._durations(case.machine, case.graph, arena)
-        assert case.graph.average_parallelism(fn) == pytest.approx(
+        scalar, durs = self._durations(case.machine, case.graph, arena)
+        assert sum(scalar) / _scalar_critical_path(case.graph, scalar) == pytest.approx(
             arena.average_parallelism(durs), rel=1e-12
         )
 
     def test_uncontended_durations_match_scalar(self):
         case = gen_graph_case(5, max_tasks=60)
         arena = TaskArena.from_graph(case.graph)
-        fn, durs = self._durations(case.machine, case.graph, arena)
-        for t in case.graph.tasks:
-            assert durs[t.tid] == fn(t), t
+        scalar, durs = self._durations(case.machine, case.graph, arena)
+        assert durs.tolist() == scalar
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +252,7 @@ class TestSchedulerBridge:
             ).run(case.graph)
             assert compare_schedules(fast_arena, fast_obj) == [], seed
 
-    def test_reference_engine_inflates_arena(self):
+    def test_reference_engine_reads_arena_columns(self):
         case = gen_graph_case(6, max_tasks=40)
         arena = TaskArena.from_graph(case.graph)
         ref_arena = Scheduler(
@@ -264,9 +273,25 @@ class TestSchedulerBridge:
             with pytest.raises(SchedulingError, match="cost-only"):
                 Scheduler(machine, 1, execute=True, engine=engine).run(arena)
 
+    def test_execute_on_closure_free_object_graph_runs(self, machine):
+        # An object graph converts with a kernel table of None entries,
+        # so execute=True runs it; a cost-only lowering still raises.
+        from repro.algorithms import StrassenWinograd
+
+        g = TaskGraph("g")
+        g.add("t", TaskCost(flops=1.0))
+        lowered = StrassenWinograd(machine).build(64, 1, execute=False).graph
+        for engine in ("fast", "reference"):
+            sched = Scheduler(machine, 1, execute=True, engine=engine)
+            assert sched.run(g).makespan > 0
+            with pytest.raises(SchedulingError, match="cost-only"):
+                sched.run(lowered)
+
 
 # ---------------------------------------------------------------------------
-# TaskGraph metric memoization (regression: add() must invalidate)
+# metric caching: an object graph's metrics come from its one cached
+# arena, whose level order is reused across duration vectors and rebuilt
+# when the graph grows
 
 
 class TestMetricsMemo:
@@ -274,34 +299,29 @@ class TestMetricsMemo:
         g = TaskGraph("memo")
         g.add("a", TaskCost(flops=1e6, efficiency=1.0))
         sched = Scheduler(machine, threads=1, execute=False)
-        first = g.critical_path_seconds(sched.uncontended_duration)
-        calls = []
-
-        class Probe:
-            def __call__(self, task):
-                calls.append(task.tid)
-                return 1.0
-
-        # Bound methods are recreated per access; the memo keys on the
-        # underlying function + owner, so this second query must hit.
-        assert g.critical_path_seconds(sched.uncontended_duration) == first
-        probe = Probe()
-        assert g.total_work_seconds(probe) == 1.0
-        assert g.total_work_seconds(probe) == 1.0
-        assert calls == [0]  # second query served from the memo
+        arena = arena_of(g)
+        first = arena.critical_path_seconds(arena.uncontended_durations(*sched.rate_key))
+        levels = arena._c_fwd_levels
+        again = arena_of(g)
+        assert again is arena
+        assert again.critical_path_seconds(again.uncontended_durations(*sched.rate_key)) == first
+        assert again._c_fwd_levels is levels  # served from the cache
 
     def test_add_invalidates(self, machine):
         g = TaskGraph("memo")
         a = g.add("a", TaskCost(flops=1e6, efficiency=1.0))
-        fn = lambda task: 2.0  # noqa: E731
-        assert g.critical_path_seconds(fn) == 2.0
-        assert g.total_work_seconds(fn) == 2.0
+        arena = arena_of(g)
+        assert arena.critical_path_seconds(np.full(1, 2.0)) == 2.0
+        assert arena.total_work_seconds(np.full(1, 2.0)) == 2.0
         g.add("b", TaskCost(flops=1e6, efficiency=1.0), deps=[a])
-        assert g.critical_path_seconds(fn) == 4.0
-        assert g.total_work_seconds(fn) == 4.0
+        grown = arena_of(g)
+        assert grown is not arena
+        assert grown.critical_path_seconds(np.full(2, 2.0)) == 4.0
+        assert grown.total_work_seconds(np.full(2, 2.0)) == 4.0
 
     def test_distinct_functions_get_distinct_entries(self):
         g = TaskGraph("memo")
         g.add("a", TaskCost(flops=1e6, efficiency=1.0))
-        assert g.total_work_seconds(lambda t: 1.0) == 1.0
-        assert g.total_work_seconds(lambda t: 3.0) == 3.0
+        arena = arena_of(g)
+        assert arena.critical_path_seconds(np.full(1, 1.0)) == 1.0
+        assert arena.critical_path_seconds(np.full(1, 3.0)) == 3.0

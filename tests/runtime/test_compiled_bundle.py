@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.machine import haswell_e3_1225
 from repro.runtime.arena import COMPILED_PLAN_ATTR, TaskArena
-from repro.runtime.seatplan import ARENA_ATTR
+from repro.runtime.seatplan import ARENA_ATTR, arena_of
 from repro.runtime.cost import TaskCost
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.task import TaskGraph
@@ -114,7 +114,7 @@ def _affinity_graph():
 def test_affinity_flags_follow_created_by_and_untied():
     g = _affinity_graph()
     _run(g, threads=4)
-    bundle = getattr(g, COMPILED_PLAN_ATTR)
+    bundle = getattr(arena_of(g), COMPILED_PLAN_ATTR)
     tasks = g.tasks
     assert bundle.any_created
     assert bundle.created.tolist() == [
@@ -159,7 +159,7 @@ def test_object_graph_growth_rebuilds_arena_and_bundle():
     g = _affinity_graph()
     _run(g, "critical", 2)
     arena = getattr(g, ARENA_ATTR)
-    bundle = getattr(g, COMPILED_PLAN_ATTR)
+    bundle = getattr(arena_of(g), COMPILED_PLAN_ATTR)
     assert len(arena) == len(g) and bundle.crit_prio is not None
 
     g.add("late", TaskCost(flops=5e7), deps=[len(g) - 1], created_by=0,
@@ -167,8 +167,8 @@ def test_object_graph_growth_rebuilds_arena_and_bundle():
     comp = _run(g, "critical", 2)
     assert getattr(g, ARENA_ATTR) is not arena
     assert len(getattr(g, ARENA_ATTR)) == len(g)
-    grown = getattr(g, COMPILED_PLAN_ATTR)
-    assert grown is not bundle and grown.n == len(g)
+    grown = getattr(arena_of(g), COMPILED_PLAN_ATTR)
+    assert grown is not bundle and len(grown.indeg0) == len(g)
     assert len(grown.crit_prio) == len(g)
     assert_bit_identical(_run(g, "critical", 2, engine="fast"), comp)
     assert comp.record_for(len(g) - 1).name == "late"
@@ -177,11 +177,11 @@ def test_object_graph_growth_rebuilds_arena_and_bundle():
 def test_machine_change_rebuilds_bundle():
     g = _affinity_graph()
     _run(g)
-    bundle = getattr(g, COMPILED_PLAN_ATTR)
+    bundle = getattr(arena_of(g), COMPILED_PLAN_ATTR)
     sched = Scheduler(MACHINE, 2, execute=False, engine="compiled")
     sched._l2_bw /= 2
     sched.run(g)
-    rebuilt = getattr(g, COMPILED_PLAN_ATTR)
+    rebuilt = getattr(arena_of(g), COMPILED_PLAN_ATTR)
     assert rebuilt is not bundle and rebuilt.key[2] == bundle.key[2] / 2
 
 

@@ -29,6 +29,7 @@ from repro.runtime import compiledpath as cp
 from repro.runtime.arena import COMPILED_PLAN_ATTR
 from repro.runtime.cost import TaskCost
 from repro.runtime.scheduler import ENGINES, Scheduler, default_engine
+from repro.runtime.seatplan import arena_of
 from repro.runtime.task import TaskGraph
 from repro.util.errors import ConfigurationError, SchedulingError
 
@@ -145,14 +146,14 @@ def test_plan_bundle_cached_and_dropped_from_pickles(machine):
     g = wide_graph(30)
     sched = Scheduler(machine, 2, execute=False, engine="compiled")
     sched.run(g)
-    bundle = getattr(g, COMPILED_PLAN_ATTR)
+    bundle = getattr(arena_of(g), COMPILED_PLAN_ATTR)
     sched.run(g)
-    assert getattr(g, COMPILED_PLAN_ATTR) is bundle  # reused, not rebuilt
+    assert getattr(arena_of(g), COMPILED_PLAN_ATTR) is bundle  # reused, not rebuilt
 
     g.add("late", TaskCost(flops=1e6), deps=[0])
     fast = Scheduler(machine, 2, execute=False, engine="fast").run(g)
     comp = sched.run(g)
-    assert getattr(g, COMPILED_PLAN_ATTR) is not bundle  # regrown for the new task
+    assert getattr(arena_of(g), COMPILED_PLAN_ATTR) is not bundle  # regrown for the new task
     assert_bit_identical(fast, comp)
 
 

@@ -3,7 +3,9 @@
 The fast kernel (:mod:`repro.runtime.fastpath`) must reproduce the
 reference scalar loop's schedule *decision-for-decision*: identical
 makespan, identical task records (placement, order, start/end times),
-and identical activity intervals.  The single permitted structural
+and identical activity intervals.  It does on every graph below except
+the CAPS lowerings, whose divergence is an open defect pinned by the
+strict ``xfail`` of :func:`test_differential_caps`.  The single permitted structural
 difference is interval bookkeeping around sub-EPS residues: the
 reference sometimes emits zero-width intervals when it zeroes trivial
 demands stepwise, while the fast kernel folds those into the adjacent
@@ -254,6 +256,21 @@ def test_differential_strassen(machine, policy):
     assert_schedules_match(ref, fast)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="open defect (ROADMAP item 2): on CAPS lowerings the engines "
+    "group completions a few ulps apart differently; at n=512, 2 threads "
+    "tid 1319 (leaf/64) lands on another core and the makespan moves 0.19%",
+)
+@pytest.mark.parametrize("policy", ["fifo", "steal"])
+def test_differential_caps(machine, policy):
+    from repro.algorithms import CapsStrassen
+
+    graph = CapsStrassen(machine).build(512, 2, seed=0, execute=False).graph
+    ref, fast = _run_both(machine, graph, policy, 2)
+    assert_schedules_match(ref, fast)
+
+
 def test_differential_zero_cost_only(machine):
     """Pure join graphs (every task zero-cost) finish at t=0 on both
     engines with identical records."""
@@ -320,25 +337,28 @@ def test_event_store_crossover_is_invisible(policy, monkeypatch):
 
 
 def test_graph_plan_cache_reused_and_rebuilt_on_growth(machine):
-    """The per-graph plan cache survives repeat runs; graph growth
-    rebuilds it (and the cached arena conversion) for the new task."""
+    """The plan cache on an object graph's arena survives repeat runs;
+    graph growth rebuilds the arena conversion, and with it the plan,
+    for the new task."""
     from repro.runtime.arena import COMPILED_PLAN_ATTR, FAST_PLAN_ATTR
     from repro.runtime.seatplan import ARENA_ATTR
 
     g = wide_graph(30)
     sched = Scheduler(machine, 2, execute=False, engine="fast")
     sched.run(g)
-    gp = getattr(g, FAST_PLAN_ATTR)
+    arena = getattr(g, ARENA_ATTR)
+    gp = getattr(arena, FAST_PLAN_ATTR)
     assert len(gp.plans) == 30
     # Only the packed tuples are kept; the array plan was transient.
-    assert not hasattr(g, COMPILED_PLAN_ATTR)
+    assert not hasattr(arena, COMPILED_PLAN_ATTR)
     sched.run(g)
-    assert getattr(g, FAST_PLAN_ATTR) is gp  # reused, not rebuilt
+    assert getattr(g, ARENA_ATTR) is arena
+    assert getattr(arena, FAST_PLAN_ATTR) is gp  # reused, not rebuilt
 
     g.add("late", TaskCost(flops=1e6), deps=[0])
     ref = Scheduler(machine, 2, execute=False, engine="reference").run(g)
     fast = sched.run(g)
-    grown = getattr(g, FAST_PLAN_ATTR)
+    grown = getattr(getattr(g, ARENA_ATTR), FAST_PLAN_ATTR)
     assert grown is not gp and len(grown.plans) == 31  # rebuilt
     assert len(getattr(g, ARENA_ATTR)) == 31
     assert_schedules_match(ref, fast)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.runtime.cost import TaskCost
 from repro.runtime.scheduler import Scheduler
+from repro.runtime.seatplan import arena_of
 from repro.runtime.task import TaskGraph
 from repro.util.errors import ConfigurationError
 
@@ -186,9 +187,10 @@ class TestGrahamBounds:
             g.add(f"t{i}", TaskCost(flops=flops), deps=sorted(set(deps)))
         scheduler = Scheduler(machine, threads=threads, execute=False)
         sched = scheduler.run(g)
-        dur = scheduler.uncontended_duration
-        t1 = g.total_work_seconds(dur)
-        tinf = g.critical_path_seconds(dur)
+        arena = arena_of(g)
+        dur = arena.uncontended_durations(*scheduler.rate_key)
+        t1 = arena.total_work_seconds(dur)
+        tinf = arena.critical_path_seconds(dur)
         assert sched.makespan >= max(t1 / threads, tinf) - 1e-9
         assert sched.makespan <= t1 / threads + tinf + 1e-9
 
@@ -238,9 +240,10 @@ class TestWorkStealing:
             g.add(f"kid{i}", TaskCost(flops=2e9), deps=[root], created_by=root)
         scheduler = Scheduler(machine, threads=4, policy="steal", execute=False)
         sched = scheduler.run(g)
-        dur = scheduler.uncontended_duration
-        t1 = g.total_work_seconds(dur)
-        tinf = g.critical_path_seconds(dur)
+        arena = arena_of(g)
+        dur = arena.uncontended_durations(*scheduler.rate_key)
+        t1 = arena.total_work_seconds(dur)
+        tinf = arena.critical_path_seconds(dur)
         assert sched.makespan <= t1 / 4 + tinf + 1e-9
 
     def test_own_work_preferred_over_stealing(self, machine):

@@ -1,8 +1,11 @@
-"""Task graphs: construction, validation, structural metrics."""
+"""The task-graph builder, and the structure and metrics of its
+columnar conversion (``arena_of``), which every consumer reads."""
 
+import numpy as np
 import pytest
 
 from repro.runtime.cost import TaskCost
+from repro.runtime.seatplan import arena_of
 from repro.runtime.task import TaskGraph
 from repro.util.errors import SchedulingError, ValidationError
 
@@ -44,8 +47,9 @@ def test_deps_accept_task_objects():
 
 def test_successors_and_sources_sinks():
     g, (a, b, c, d) = diamond()
-    assert set(g.successors(a.tid)) == {b.tid, c.tid}
-    assert g.sources() == [a]
+    arena = arena_of(g)
+    assert arena.successors_lists()[a.tid] == [b.tid, c.tid]
+    assert np.flatnonzero(arena.dep_counts == 0).tolist() == [a.tid]
     assert g.sinks() == [d]
 
 
@@ -54,40 +58,43 @@ def test_join():
     j = g.join("j", [b, c])
     assert j.cost.is_zero
     assert set(j.deps) == {b.tid, c.tid}
+    assert arena_of(g).zero_cost().tolist() == [False] * 4 + [True]
 
 
 def test_validate_ok():
     g, _ = diamond()
-    g.validate()  # must not raise
+    arena_of(g).validate()  # must not raise
 
 
 def test_topological_order_respects_deps():
+    # Creation order is topological by construction: every dependency
+    # precedes its task, so the arena's CSR points strictly backwards.
     g, _ = diamond()
-    order = [t.tid for t in g.topological_order()]
-    for t in g:
-        for d in t.deps:
-            assert order.index(d) < order.index(t.tid)
+    arena = arena_of(g)
+    owner = np.repeat(np.arange(len(arena)), arena.dep_counts)
+    assert np.all(arena.dep_indices < owner)
 
 
 def test_total_cost():
     g, _ = diamond()
-    assert g.total_cost().flops == 10
+    assert float(arena_of(g).flops.sum()) == 10
 
 
 def test_critical_path_diamond():
     g, _ = diamond()
-    dur = lambda t: float(t.cost.flops)
+    arena = arena_of(g)
+    dur = arena.flops  # one second per flop
     # longest chain: a(1) -> c(3) -> d(4) = 8
-    assert g.critical_path_seconds(dur) == pytest.approx(8.0)
-    assert g.total_work_seconds(dur) == pytest.approx(10.0)
-    assert g.average_parallelism(dur) == pytest.approx(10.0 / 8.0)
+    assert arena.critical_path_seconds(dur) == pytest.approx(8.0)
+    assert arena.total_work_seconds(dur) == pytest.approx(10.0)
+    assert arena.average_parallelism(dur) == pytest.approx(10.0 / 8.0)
 
 
 def test_critical_path_chain_equals_total():
-    g = chain(5)
-    dur = lambda t: 1.0
-    assert g.critical_path_seconds(dur) == pytest.approx(5.0)
-    assert g.average_parallelism(dur) == pytest.approx(1.0)
+    arena = arena_of(chain(5))
+    dur = np.ones(5)
+    assert arena.critical_path_seconds(dur) == pytest.approx(5.0)
+    assert arena.average_parallelism(dur) == pytest.approx(1.0)
 
 
 def test_task_lookup():
@@ -102,54 +109,13 @@ def test_counts_by_prefix():
     g.add("pre/128")
     g.add("mul/64")
     g.add("mul/64x")
-    assert g.counts_by_prefix() == {"pre": 1, "mul": 2}
+    assert arena_of(g).counts_by_prefix() == {"pre": 1, "mul": 2}
 
 
 def test_empty_graph_metrics():
     g = TaskGraph()
-    assert g.critical_path_seconds(lambda t: 1.0) == 0.0
+    assert arena_of(g).critical_path_seconds(np.zeros(0)) == 0.0
     assert len(g) == 0
-
-
-class TestSerialization:
-    def _graph(self):
-        g = TaskGraph("demo")
-        a = g.add("a", TaskCost(flops=10, efficiency=0.5, bytes_dram=100))
-        b = g.add("b", TaskCost(flops=20), deps=[a], untied=False, created_by=a)
-        g.join("j", [b])
-        return g
-
-    def test_roundtrip_structure(self):
-        g = self._graph()
-        g2 = TaskGraph.from_dict(g.to_dict())
-        assert len(g2) == len(g)
-        assert g2.name == "demo"
-        for t1, t2 in zip(g, g2):
-            assert t1.name == t2.name
-            assert t1.deps == t2.deps
-            assert t1.untied == t2.untied
-            assert t1.created_by == t2.created_by
-            assert t1.cost == t2.cost
-
-    def test_roundtrip_drops_closures(self):
-        g = TaskGraph()
-        g.add("x", TaskCost(flops=1), compute=lambda: None)
-        g2 = TaskGraph.from_dict(g.to_dict())
-        assert g2.task(0).compute is None
-
-    def test_roundtrip_schedules_identically(self, machine):
-        from repro.runtime.scheduler import Scheduler
-
-        g = self._graph()
-        g2 = TaskGraph.from_dict(g.to_dict())
-        s1 = Scheduler(machine, 2, execute=False).run(g)
-        s2 = Scheduler(machine, 2, execute=False).run(g2)
-        assert s1.makespan == s2.makespan
-
-    def test_json_serializable(self):
-        import json
-
-        json.dumps(self._graph().to_dict())
 
 
 class TestDot:
@@ -157,15 +123,23 @@ class TestDot:
         g = TaskGraph("dotted")
         a = g.add("work", TaskCost(flops=5))
         g.join("sync", [a])
-        dot = g.to_dot()
+        dot = arena_of(g).to_dot()
         assert dot.startswith('digraph "dotted"')
+        assert 't0 [label="work\\n5 flop", shape=ellipse];' in dot
         assert "t0 -> t1;" in dot
         assert "diamond" in dot  # zero-cost join shape
-        assert "ellipse" in dot
 
     def test_dot_size_guard(self):
         g = TaskGraph()
         for i in range(12):
             g.add(f"t{i}", TaskCost(flops=1))
         with pytest.raises(ValidationError):
-            g.to_dot(max_tasks=10)
+            arena_of(g).to_dot(max_tasks=10)
+
+
+def test_task_graph_is_only_a_builder():
+    # Consumers read the arena (``arena_of``); the object graph keeps
+    # only what building one needs.
+    public = {k for k in vars(TaskGraph) if not k.startswith("_")}
+    assert public == {"add", "join", "sinks", "task"}
+    assert {"__len__", "__iter__"} <= set(vars(TaskGraph))

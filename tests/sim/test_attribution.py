@@ -5,6 +5,7 @@ import pytest
 from repro.algorithms import BlockedGemm, CapsStrassen, StrassenWinograd
 from repro.runtime.cost import TaskCost
 from repro.runtime.scheduler import Scheduler
+from repro.runtime.seatplan import arena_of
 from repro.runtime.task import TaskGraph
 from repro.sim import Engine, attribute_energy, attribution_table
 from repro.util.errors import ValidationError
@@ -43,9 +44,7 @@ def test_blocked_gemm_single_group(machine):
     schedule, _ = _run(machine, build.graph)
     groups = attribute_energy(schedule, build.graph, machine)
     assert set(groups) == {"tile"}
-    assert groups["tile"].tasks == len(
-        [t for t in build.graph.to_graph() if not t.cost.is_zero]
-    )
+    assert groups["tile"].tasks == int((~build.graph.zero_cost()).sum())
 
 
 def test_caps_pack_energy_visible(machine):
@@ -62,7 +61,7 @@ def test_joins_excluded(machine):
     a = g.add("work", TaskCost(flops=1e9))
     g.join("sync", [a])
     schedule, _ = _run(machine, g, threads=1)
-    groups = attribute_energy(schedule, g, machine)
+    groups = attribute_energy(schedule, arena_of(g), machine)
     assert set(groups) == {"work"}
 
 

@@ -51,3 +51,22 @@ def test_slow_examples(script, tmp_path, monkeypatch, capsys):
     _run(script, tmp_path, monkeypatch, env)
     out = capsys.readouterr().out
     assert len(out) > 200
+
+
+def test_usage_debugging_section_runs(tmp_path, monkeypatch, capsys):
+    """docs/usage.md §8 (Gantt, Chrome trace, DOT) runs as written on a
+    lowered build."""
+    from repro.algorithms import StrassenWinograd
+    from repro.machine import haswell_e3_1225
+
+    text = (Path(__file__).parent.parent / "docs" / "usage.md").read_text()
+    section = text.split("## 8. Debugging schedules", 1)[1]
+    code = section.split("```python", 1)[1].split("```", 1)[0]
+    machine = haswell_e3_1225()
+    build = StrassenWinograd(machine).build(512, 4, execute=False)  # 65 tasks
+    monkeypatch.chdir(tmp_path)
+    exec(code, {"machine": machine, "build": build})
+    out = capsys.readouterr().out
+    assert out.count("core") >= 4  # one Gantt row per core
+    assert f'digraph "{build.graph.name}"' in out and " -> t" in out
+    assert (tmp_path / "trace.json").stat().st_size > 0

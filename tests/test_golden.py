@@ -8,7 +8,12 @@ This test pins the values themselves against
 count and the Eq. 5 scaling value and class of every cell, exactly.
 A second golden, ``tests/golden/lowerings.json``, pins every matmul
 lowering branch column by column (names, dependency CSR, creators,
-untied flags, cost bytes), executed padded builds included.
+untied flags, cost bytes), executed padded builds included.  A third,
+``tests/golden/reference.json``, pins the scalar ``reference`` engine
+itself: the n=512 paper cells, and the records and interval bytes of
+CAPS and Strassen schedules under every policy.  The fast golden cannot
+stand in for it, because the engines are not decision-for-decision
+identical on every CAPS lowering (see ROADMAP item 2).
 
 Regenerate only with ``python tools/golden.py --write`` and justify the
 diff in CHANGES.md.
@@ -72,4 +77,23 @@ def test_lowering_diff_names_cell_and_field():
     assert golden.diff_lowerings(expected, actual) == [
         "lowering caps/64/1 deps: golden 'aa', got 'bb'",
         "lowering caps/64/4: not in the golden",
+    ]
+
+
+def test_reference_engine_matches_golden():
+    expected = golden.load_reference_golden()
+    assert len(expected["grid"]) == 12
+    assert set(expected["schedules"]) == set(golden.SCHEDULE_CELLS)
+    assert expected["schedules"]["exec/strassen/100/2/fifo"]["verified"] is True
+    lines = golden.diff_reference(expected, golden.reference_cells())
+    assert not lines, "reference drift:\n" + "\n".join(lines)
+
+
+def test_reference_diff_names_schedule_and_field():
+    expected = {"grid": {}, "schedules": {"caps/256/2/fifo": {"makespan_s": 1.0}}}
+    actual = {"grid": {}, "schedules": {"caps/256/2/fifo": {"makespan_s": 2.0},
+                                        "caps/256/4/fifo": {}}}
+    assert golden.diff_reference(expected, actual) == [
+        "schedule caps/256/2/fifo makespan_s: golden 1.0, got 2.0",
+        "schedule caps/256/4/fifo: not in the golden",
     ]

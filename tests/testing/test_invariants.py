@@ -12,6 +12,7 @@ import pytest
 
 from repro.machine.energy import PlaneEnergy
 from repro.runtime.scheduler import Scheduler
+from repro.runtime.seatplan import arena_of
 from repro.sim.engine import Engine
 from repro.testing.generators import gen_graph_case, gen_scaling_case
 from repro.testing.invariants import (
@@ -43,7 +44,7 @@ def _mutate_energy(measurement, **changes):
 def test_healthy_measurement_has_no_violations(healthy):
     case, schedule, measurement = healthy
     violations = check_measurement(
-        case.machine, case.graph, case.threads, schedule, measurement
+        case.machine, arena_of(case.graph), case.threads, schedule, measurement
     )
     assert violations == []
     assert_no_violations(violations)  # no raise
@@ -56,7 +57,7 @@ def test_many_seeds_clean():
             case.machine, case.threads, case.policy, execute=False
         ).run(case.graph)
         m = Engine(case.machine).measure(schedule, label=f"s{seed}")
-        assert check_measurement(case.machine, case.graph, case.threads, schedule, m) == []
+        assert check_measurement(case.machine, arena_of(case.graph), case.threads, schedule, m) == []
 
 
 def test_assert_no_violations_raises():
@@ -75,7 +76,7 @@ def test_pp0_exceeding_package_is_flagged(healthy):
     bad = _mutate_energy(m, pp0=m.energy.package + 1.0)
     names = {
         v.invariant
-        for v in check_measurement(case.machine, case.graph, case.threads, schedule, bad)
+        for v in check_measurement(case.machine, arena_of(case.graph), case.threads, schedule, bad)
     }
     assert "energy.containment" in names
 
@@ -85,7 +86,7 @@ def test_negative_plane_energy_is_flagged(healthy):
     bad = _mutate_energy(m, dram=-1.0)
     names = {
         v.invariant
-        for v in check_measurement(case.machine, case.graph, case.threads, schedule, bad)
+        for v in check_measurement(case.machine, arena_of(case.graph), case.threads, schedule, bad)
     }
     assert "energy.nonnegative" in names
 
@@ -97,7 +98,7 @@ def test_package_below_static_floor_is_flagged(healthy):
     bad = _mutate_energy(m, package=0.0, pp0=0.0)
     names = {
         v.invariant
-        for v in check_measurement(case.machine, case.graph, case.threads, schedule, bad)
+        for v in check_measurement(case.machine, arena_of(case.graph), case.threads, schedule, bad)
     }
     assert "energy.static_floor" in names
 
@@ -111,7 +112,7 @@ def test_trace_disagreement_is_flagged(healthy):
     bad = _mutate_energy(m, package=m.energy.package * 1.5)
     names = {
         v.invariant
-        for v in check_measurement(case.machine, case.graph, case.threads, schedule, bad)
+        for v in check_measurement(case.machine, arena_of(case.graph), case.threads, schedule, bad)
     }
     assert "energy.trace" in names
 
@@ -121,7 +122,7 @@ def test_flop_total_corruption_is_flagged(healthy):
     bad = dataclasses.replace(m, flops=m.flops + 1e9)
     names = {
         v.invariant
-        for v in check_measurement(case.machine, case.graph, case.threads, schedule, bad)
+        for v in check_measurement(case.machine, arena_of(case.graph), case.threads, schedule, bad)
     }
     assert "work.flops" in names
 
@@ -131,7 +132,7 @@ def test_dram_byte_corruption_is_flagged(healthy):
     bad = dataclasses.replace(m, bytes_dram=m.bytes_dram * 2 + 64.0)
     names = {
         v.invariant
-        for v in check_measurement(case.machine, case.graph, case.threads, schedule, bad)
+        for v in check_measurement(case.machine, arena_of(case.graph), case.threads, schedule, bad)
     }
     assert "work.dram_bytes" in names
 
@@ -157,7 +158,7 @@ def test_negative_interval_power_is_flagged():
     seg.watts[Plane.PP0] = -5.0  # in-place: PowerSegment validates on init only
     names = {
         v.invariant
-        for v in check_measurement(case.machine, case.graph, case.threads, schedule, m)
+        for v in check_measurement(case.machine, arena_of(case.graph), case.threads, schedule, m)
     }
     assert "power.nonnegative" in names
 
@@ -170,7 +171,7 @@ def test_package_power_below_static_floor_is_flagged():
     seg.watts[Plane.PACKAGE] = case.machine.energy.package_static_w * 0.5
     names = {
         v.invariant
-        for v in check_measurement(case.machine, case.graph, case.threads, schedule, m)
+        for v in check_measurement(case.machine, arena_of(case.graph), case.threads, schedule, m)
     }
     assert "power.static_floor" in names
 
@@ -198,7 +199,7 @@ def _feasibility_names(case, schedule):
     return {
         v.invariant
         for v in _check_schedule_feasibility(
-            case.machine, case.graph, case.threads, schedule
+            case.machine, arena_of(case.graph), case.threads, schedule
         )
     }
 

@@ -1,6 +1,7 @@
 """The ``arena_lowering`` verify family: structural lowering invariants
 hold on the real algorithms, forged flops and dropped dependencies are
-caught, and a lowering that is not a kernel-carrying arena is flagged."""
+caught, and an arena whose kernel table does not match its build mode
+is flagged."""
 
 import numpy as np
 
@@ -117,15 +118,17 @@ def test_missing_arena_path_is_a_violation(monkeypatch):
     assert [v.invariant for v in violations] == ["lowering.executed"]
 
 
-def test_wrong_graph_type_is_a_violation(monkeypatch):
-    class ObjectGraph(StrassenWinograd):
+def test_cost_only_build_with_kernels_is_a_violation(monkeypatch):
+    # A cost-only lowering must be kernel-less: closures over operands
+    # that were never allocated have nothing to compute into.
+    class StrayKernels(StrassenWinograd):
         def build(self, n, threads, seed=0, execute=True):
             build = super().build(n, threads, seed=seed, execute=execute)
-            build.graph = build.graph.to_graph()
+            build.graph.kernels = build.graph.kernels or [None] * len(build.graph)
             return build
 
     monkeypatch.setattr(
-        registry, "make_algorithm", lambda name, machine, **kw: ObjectGraph(machine)
+        registry, "make_algorithm", lambda name, machine, **kw: StrayKernels(machine)
     )
     violations = check_lowering(_case())
     assert [v.invariant for v in violations] == ["lowering.path"]

@@ -19,8 +19,15 @@ sha256 per structural column of the lowered arena: the task names
 resolved per tid, the dependency CSR, ``created_by``, ``untied`` and
 the raw bytes of each cost column.
 
-  python tools/golden.py            # compare fast, compiled and lowerings
-  python tools/golden.py --write    # regenerate both goldens
+A third golden pins the scalar ``reference`` engine, the differential
+oracle the fast and compiled kernels are checked against: the 12
+cost-only n=512 paper cells run through ``Study`` on ``reference``,
+the records and interval-array bytes of CAPS and Strassen-Winograd
+schedules (n in {256, 512}, threads 2 and 4, every policy), and one
+executed padded build.
+
+  python tools/golden.py            # compare fast, compiled, lowerings, reference
+  python tools/golden.py --write    # regenerate all three goldens
 
 ``--write`` is the only way to regenerate the committed files; every
 golden diff must be justified in CHANGES.md.  Comparison is exact
@@ -45,6 +52,9 @@ GOLDEN = ROOT / "tests" / "golden" / "paper_grid.json"
 #: The committed lowering digests.
 LOWERING_GOLDEN = ROOT / "tests" / "golden" / "lowerings.json"
 
+#: The committed reference-engine digests.
+REFERENCE_GOLDEN = ROOT / "tests" / "golden" / "reference.json"
+
 #: Per-cell fields, in report order.
 FIELDS = (
     "makespan_s",
@@ -58,14 +68,14 @@ FIELDS = (
 )
 
 
-def grid_cells(engine: str) -> dict[str, dict]:
-    """Run the cost-only paper grid on *engine*; one record per cell,
-    keyed ``"alg/n/threads"``."""
+def grid_cells(engine: str, sizes: tuple[int, ...] | None = None) -> dict[str, dict]:
+    """Run the cost-only paper grid (or its *sizes* rows) on *engine*;
+    one record per cell, keyed ``"alg/n/threads"``."""
     from repro.api import RunOptions, Study
     from repro.core.study import PAPER_SIZES, PAPER_THREADS
 
     study = Study(
-        sizes=PAPER_SIZES, threads=PAPER_THREADS, execute_max_n=0, verify=False
+        sizes=sizes or PAPER_SIZES, threads=PAPER_THREADS, execute_max_n=0, verify=False
     )
     result = study.run(RunOptions(engine=engine)).result
     cells: dict[str, dict] = {}
@@ -166,15 +176,10 @@ def _sha(*chunks: bytes) -> str:
 
 
 def lowering_digest(build) -> dict:
-    """One sha256 per structural column of *build*'s lowered graph
-    (object graphs are columnized first)."""
+    """One sha256 per structural column of *build*'s lowered arena."""
     import numpy as np
 
-    from repro.runtime.arena import TaskArena
-
     arena = build.graph
-    if not isinstance(arena, TaskArena):
-        arena = TaskArena.from_graph(arena)
     i64 = lambda a: np.ascontiguousarray(a, dtype="<i8").tobytes()  # noqa: E731
     rec = {
         "graph": arena.name,
@@ -228,6 +233,85 @@ def load_lowering_golden() -> dict:
     return json.loads(LOWERING_GOLDEN.read_text())
 
 
+#: Reference schedule cells: key -> (algorithm, n, threads, policy,
+#: execute).  The executed cell is padded (n=100 stamps the n=128 DAG
+#: plus one ``unpad`` row), so its kernels run in reference order.
+SCHEDULE_CELLS: dict[str, tuple[str, int, int, str, bool]] = {
+    **{f"{alg}/{n}/{p}/{policy}": (alg, n, p, policy, False)
+       for alg in ("caps", "strassen")
+       for n in (256, 512)
+       for p in (2, 4)
+       for policy in ("fifo", "lifo", "critical", "steal")},
+    "exec/strassen/100/2/fifo": ("strassen", 100, 2, "fifo", True),
+}
+
+#: Per-schedule fields, in report order.
+SCHEDULE_FIELDS = ("makespan_s", "records", "intervals", "interval_bytes", "verified")
+
+
+def schedule_digest(schedule) -> dict:
+    """Makespan plus one sha256 over the task records (tid, name, core,
+    start, end) and one over the raw ``interval_array`` bytes."""
+    import numpy as np
+
+    recs = schedule.records
+    cols = [np.array([getattr(r, f) for r in recs], dtype=dt)
+            for f, dt in (("tid", "<i8"), ("core", "<i8"), ("start", "<f8"), ("end", "<f8"))]
+    arr = np.ascontiguousarray(schedule.interval_array, dtype="<f8")
+    return {
+        "makespan_s": schedule.makespan,
+        "records": _sha("\n".join(r.name for r in recs).encode(),
+                        *(b"|" + c.tobytes() for c in cols)),
+        "intervals": len(arr),
+        "interval_bytes": _sha(arr.tobytes()),
+    }
+
+
+def reference_schedules() -> dict[str, dict]:
+    """Schedule every :data:`SCHEDULE_CELLS` entry on ``reference``."""
+    from repro.algorithms.registry import make_algorithm
+    from repro.machine import haswell_e3_1225
+    from repro.runtime.scheduler import Scheduler
+
+    machine = haswell_e3_1225()
+    out: dict[str, dict] = {}
+    for key, (name, n, threads, policy, execute) in SCHEDULE_CELLS.items():
+        build = make_algorithm(name, machine).build(n, threads, execute=execute)
+        sched = Scheduler(machine, threads, policy=policy, execute=execute,
+                          engine="reference")
+        rec = schedule_digest(sched.run(build.graph))
+        rec["verified"] = bool(build.verify().ok) if execute else None
+        out[key] = rec
+    return out
+
+
+def reference_cells() -> dict[str, dict]:
+    """The reference golden: the n=512 paper cells plus the schedules."""
+    return {"grid": grid_cells("reference", sizes=(512,)),
+            "schedules": reference_schedules()}
+
+
+def diff_reference(expected: dict, actual: dict) -> list[str]:
+    """:func:`diff_cells` over the grid half, field-by-field over the
+    schedule half."""
+    lines = diff_cells(expected["grid"], actual["grid"], "reference")
+    want, got = expected["schedules"], actual["schedules"]
+    for key in want:
+        if key not in got:
+            lines.append(f"schedule {key}: missing from the run")
+            continue
+        for field in SCHEDULE_FIELDS:
+            if want[key].get(field) != got[key].get(field):
+                lines.append(f"schedule {key} {field}: golden "
+                             f"{want[key].get(field)!r}, got {got[key].get(field)!r}")
+    lines += [f"schedule {key}: not in the golden" for key in got if key not in want]
+    return lines
+
+
+def load_reference_golden() -> dict:
+    return json.loads(REFERENCE_GOLDEN.read_text())
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--write", action="store_true",
@@ -259,6 +343,12 @@ def main(argv=None) -> int:
         doc = {"machine": "haswell_e3_1225", "cells": lowerings}
         LOWERING_GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote {len(lowerings)} lowerings to {LOWERING_GOLDEN.relative_to(ROOT)}")
+        reference = reference_cells()
+        doc = {"engine": "reference", "machine": "haswell_e3_1225", **reference}
+        REFERENCE_GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(reference['grid'])} cells and "
+              f"{len(reference['schedules'])} schedules to "
+              f"{REFERENCE_GOLDEN.relative_to(ROOT)}")
         return 0
 
     golden = load_golden()["cells"]
@@ -268,7 +358,8 @@ def main(argv=None) -> int:
         for line in diff_cells(golden, cells, engine)
     ]
     lines += diff_lowerings(load_lowering_golden()["cells"], lowering_cells())
-    print("\n".join(lines) or f"golden matches ({', '.join(runs)}, lowerings)")
+    lines += diff_reference(load_reference_golden(), reference_cells())
+    print("\n".join(lines) or f"golden matches ({', '.join(runs)}, lowerings, reference)")
     return 1 if lines else 0
 
 

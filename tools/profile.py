@@ -9,9 +9,8 @@ Three phases cover the pipeline end to end:
     instance (subtree-template memos start empty), then the same
     lowering again with the templates warm.
 ``--phase sim``
-    The event kernel on a pre-built graph (lowering excluded).  Honors
-    ``--engine`` and ``--graph {arena,object}`` to profile either
-    kernel on the lowered arena or its ``to_graph()`` object form.
+    The event kernel on a pre-built arena (lowering excluded), on
+    ``--engine``.
 ``--phase study``
     The full cost-only execution matrix through ``repro.api.Study``
     (lowering + simulation + measurement) on ``--engine``, the closest
@@ -89,12 +88,10 @@ def phase_sim(args) -> None:
     machine = machine_from_args(args)
     alg = make_algorithm(args.alg, machine)
     graph = alg.build(args.n, args.threads, execute=False).graph
-    if args.graph == "object":
-        graph = graph.to_graph()
     _warm_engine(args.engine)
     engine = Engine(machine, engine=args.engine)
     print(
-        f"== {args.engine} kernel on {args.graph} graph: {args.alg} "
+        f"== {args.engine} kernel: {args.alg} "
         f"n={args.n} p={args.threads}, {len(graph)} tasks =="
     )
     measurement = _profiled(
@@ -128,8 +125,6 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=2048)
     ap.add_argument("--threads", type=int, default=4)
     add_engine_arg(ap, default="fast")
-    ap.add_argument("--graph", choices=("arena", "object"), default="arena",
-                    help="graph representation to simulate (sim phase)")
     ap.add_argument("--sizes", type=int, nargs="+", default=[512, 1024, 2048],
                     help="study-phase problem sizes")
     ap.add_argument("--top", type=int, default=15)
