@@ -38,7 +38,6 @@ from .distributed import (
 from .core.study import (
     PAPER_SIZES,
     PAPER_THREADS,
-    TRANSPORTS,
     EnergyPerformanceStudy,
     StudyConfig,
     StudyResult,
@@ -57,6 +56,8 @@ from .service.cells import StudyRequest
 from .service.service import ServiceConfig, StudyService
 from .sim.engine import Engine
 from .sim.measurement import RunMeasurement
+from .util.deprecation import TRANSPORTS as _TRANSPORTS
+from .util.deprecation import check_transport, warn_transport
 from .util.errors import ConfigurationError
 from .util.tables import TextTable
 
@@ -80,7 +81,6 @@ __all__ = [
     "StudyResult",
     "StudyRun",
     "StudyService",
-    "TRANSPORTS",
     "Topology",
     "available_engines",
     "dual_socket_haswell",
@@ -108,6 +108,13 @@ def available_engines() -> dict[str, tuple[bool, str]]:
         "fast": (True, "vectorized numpy kernel"),
         "compiled": (ok, reason if reason else "ready"),
     }
+
+
+def __getattr__(name: str):
+    if name == "TRANSPORTS":
+        warn_transport("repro.api.TRANSPORTS", "drop the reference", stacklevel=2)
+        return _TRANSPORTS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -139,13 +146,10 @@ class RunOptions:
         :class:`~repro.core.study.StudyConfig` fields for this run
         only; ``None`` keeps the study's configured values.
     transport:
-        How parallel runs ship pre-lowered arenas to workers:
-        ``"auto"`` (shared memory when available, else pickling with a
-        one-time warning), ``"shm"`` (require shared memory), or
-        ``"pickle"`` (force the copying path).  ``None`` — the default
-        — defers to the ``REPRO_STUDY_TRANSPORT`` environment variable,
-        falling back to ``"auto"``.  Irrelevant to serial runs; results
-        are bit-identical under every transport.
+        Deprecated and ignored (removal in 1.4.0): parallel workers
+        lower their own cells, so there is no transport to choose.
+        ``"auto"``, ``"shm"`` or ``"pickle"`` emits a
+        ``DeprecationWarning``; any other value is still rejected.
     checkpoint:
         Path of a completed-cell journal to write during the run (see
         :mod:`repro.core.journal`).
@@ -175,10 +179,12 @@ class RunOptions:
             raise ConfigurationError(
                 f"parallel must be >= 0, got {self.parallel}"
             )
-        if self.transport is not None and self.transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"transport must be one of {TRANSPORTS} (or None for the "
-                f"environment default), got {self.transport!r}"
+        if self.transport is not None:
+            check_transport(
+                self.transport,
+                "RunOptions(transport=...)",
+                "use RunOptions() without transport",
+                stacklevel=3,
             )
 
 
@@ -307,7 +313,6 @@ class Study:
             _engine=self._engine(opts),
         )
         run_kwargs = dict(
-            transport=opts.transport,
             checkpoint=opts.checkpoint,
             resume=opts.resume,
         )

@@ -26,11 +26,13 @@ from .cliargs import (
     add_machine_args,
     add_study_scale_args,
     add_trace_arg,
+    add_transport_arg,
     check_journal_path,
     check_trace_path,
     emit,
     get_format,
     machine_from_args,
+    note_transport,
 )
 from .core import (
     analyze_crossover,
@@ -113,6 +115,7 @@ def cmd_study(args) -> int:
 
     check_trace_path(args.trace)
     check_journal_path(args.checkpoint, args.resume)
+    note_transport(args)
     study = Study(
         machine_from_args(args),
         sizes=tuple(args.sizes),
@@ -131,7 +134,6 @@ def cmd_study(args) -> int:
             engine=engine,
             parallel=args.parallel,
             trace=bool(args.trace),
-            transport=args.transport,
             checkpoint=args.checkpoint,
             resume=args.resume,
         )
@@ -377,10 +379,10 @@ def cmd_serve(args) -> int:
 
     from .service import ServiceConfig, serve
 
+    note_transport(args)
     config = ServiceConfig(
         engine=args.engine,
         workers=args.workers,
-        transport=args.transport,
         verify=not args.no_verify,
     )
     print(f"serving on {args.socket} (store: {args.store or 'none'})", flush=True)
@@ -599,8 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=0, metavar="N",
                    help="fan batches across N worker processes (0 = in-process)")
     add_engine_arg(p, default="fast")
-    p.add_argument("--transport", choices=("auto", "shm", "pickle"), default=None,
-                   help="arena transport for pooled batches")
+    add_transport_arg(p)
     p.add_argument("--no-verify", action="store_true")
     p.set_defaults(func=cmd_serve)
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 from pathlib import Path
 
 from .machine import generic_smp, haswell_e3_1225
+from .util.deprecation import TRANSPORTS, transport_note
 from .util.errors import ConfigurationError
 from .util.tables import TextTable
 from .util.units import GHZ, GiB
@@ -25,11 +27,13 @@ __all__ = [
     "add_machine_args",
     "add_study_scale_args",
     "add_trace_arg",
+    "add_transport_arg",
     "check_journal_path",
     "check_trace_path",
     "emit",
     "get_format",
     "machine_from_args",
+    "note_transport",
 ]
 
 #: Table output formats every surface accepts.
@@ -115,21 +119,11 @@ def check_trace_path(path: str | os.PathLike | None) -> None:
 
 
 def add_study_scale_args(parser: argparse.ArgumentParser) -> None:
-    """The huge-sweep argument group: worker transport and
-    checkpoint/resume journaling (shared by ``repro study`` and any
-    tool that drives a parallel study)."""
-    from .core.study import TRANSPORTS
-
+    """The huge-sweep argument group: checkpoint/resume journaling
+    (shared by ``repro study`` and any tool that drives a parallel
+    study), plus the deprecated ``--transport``."""
     g = parser.add_argument_group("scale")
-    g.add_argument(
-        "--transport",
-        choices=TRANSPORTS,
-        default=None,
-        help="how parallel runs ship pre-lowered arenas to workers "
-        "(default: REPRO_STUDY_TRANSPORT env var, else 'auto' — shared "
-        "memory when available, falling back to pickling; results are "
-        "bit-identical either way)",
-    )
+    add_transport_arg(g)
     g.add_argument(
         "--checkpoint",
         metavar="JOURNAL.jsonl",
@@ -145,6 +139,27 @@ def add_study_scale_args(parser: argparse.ArgumentParser) -> None:
         "re-simulating them; the resumed run is bit-identical to an "
         "uninterrupted one",
     )
+
+
+def add_transport_arg(parser) -> None:
+    """The deprecated ``--transport`` flag: accepted and ignored until
+    1.4.0; :func:`note_transport` says so on stderr."""
+    parser.add_argument(
+        "--transport",
+        choices=TRANSPORTS,
+        default=None,
+        help="deprecated and ignored (workers lower their own cells); "
+        "removed in 1.4.0",
+    )
+
+
+def note_transport(args: argparse.Namespace) -> None:
+    """Print the one-line deprecation note if ``--transport`` was given."""
+    if args.transport is not None:
+        print(
+            "note: " + transport_note("--transport", "drop the flag"),
+            file=sys.stderr,
+        )
 
 
 def check_journal_path(

@@ -21,7 +21,10 @@ test_study_checkpoint.py`` enforces this with fault injection).
 The header pins three compatibility axes:
 
 * ``version`` — :data:`JOURNAL_VERSION`, the schema of this very file;
-* ``arena_schema`` — the arena/shm column layout version the run used;
+* ``arena_schema`` — :data:`ARENA_SCHEMA_VERSION`, frozen at ``1``: the
+  column-layout version of the retired shared-memory arena transport,
+  kept in the header and the fingerprint so journals written by 1.2
+  still resume and validate;
 * ``fingerprint`` — a digest of (machine, algorithms, study config,
   event kernel); resuming under a different study setup would merge
   measurements from a different experiment, so a mismatch is a
@@ -46,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.measurement import RunMeasurement
 
 __all__ = [
+    "ARENA_SCHEMA_VERSION",
     "JOURNAL_VERSION",
     "StudyJournal",
     "study_fingerprint",
@@ -54,6 +58,10 @@ __all__ = [
 
 #: Schema version of the journal file itself.
 JOURNAL_VERSION = 1
+
+#: Header and fingerprint field ``arena_schema``.  Frozen: changing it
+#: would orphan every existing journal (the fingerprint folds it in).
+ARENA_SCHEMA_VERSION = 1
 
 #: ``fsync`` after this many newly recorded cells (and on close).
 FLUSH_EVERY = 8
@@ -77,8 +85,6 @@ def study_fingerprint(
     replayable: the machine, the algorithm set, the study config and
     the event kernel.  Stable across processes and Python versions
     (canonical JSON, sha256)."""
-    from ..runtime.shm import ARENA_SCHEMA_VERSION
-
     payload = {
         "machine": machine_name,
         "algorithms": list(algorithm_names),
@@ -141,8 +147,6 @@ class StudyJournal:
         missing file under ``resume`` is not an error — the "resumed"
         run simply has nothing to replay.
         """
-        from ..runtime.shm import ARENA_SCHEMA_VERSION
-
         journal = cls(path, fingerprint)
         existing = resume and journal.path.exists() and journal.path.stat().st_size > 0
         if existing:

@@ -17,7 +17,6 @@ Fig. 3), average power (Table III / Figs. 4-6) and EP values/scaling
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -26,7 +25,6 @@ from ..algorithms.base import MatmulAlgorithm
 from ..algorithms.registry import paper_algorithms
 from ..machine.specs import MachineSpec
 from ..observability import trace
-from ..observability.metrics import counter
 from ..observability.metrics import registry as metrics_registry
 from ..power.planes import Plane
 from ..sim.engine import Engine
@@ -43,25 +41,7 @@ __all__ = [
     "EnergyPerformanceStudy",
     "PAPER_SIZES",
     "PAPER_THREADS",
-    "TRANSPORTS",
-    "prebuild_cell",
 ]
-
-#: Arena transports the parallel driver accepts: ``"auto"`` prefers
-#: shared memory and falls back to pickling, the other two force one.
-TRANSPORTS: tuple[str, ...] = ("auto", "shm", "pickle")
-
-#: Environment override for the transport (used by CI to force the shm
-#: path through entry points that don't plumb the knob, e.g. the verify
-#: harness's serial-vs-parallel study differential).
-TRANSPORT_ENV = "REPRO_STUDY_TRANSPORT"
-
-_PICKLE_BYTES_AVOIDED = counter(
-    "study.pickle_bytes_avoided",
-    unit="B",
-    description="arena column bytes shipped to workers by descriptor "
-    "instead of pickle",
-)
 
 #: The paper's problem sizes and thread counts.
 PAPER_SIZES: tuple[int, ...] = (512, 1024, 2048, 4096)
@@ -280,7 +260,6 @@ class EnergyPerformanceStudy:
         self,
         parallel: int | None = None,
         *,
-        transport: str | None = None,
         checkpoint: "str | Path | None" = None,
         resume: "str | Path | None" = None,
     ) -> StudyResult:
@@ -300,9 +279,7 @@ class EnergyPerformanceStudy:
         wrapped around the run observes the same counter stream either
         way.
 
-        *transport* picks how parallel runs ship pre-lowered arenas to
-        workers (see :data:`TRANSPORTS`; ``None`` = env override or
-        ``"auto"``).  *checkpoint* writes a completed-cell journal;
+        *checkpoint* writes a completed-cell journal;
         *resume* additionally replays an existing journal's cells into
         the merge — in serial order, MSR deposits included — so a
         resumed run is bit-identical to an uninterrupted one.
@@ -330,9 +307,7 @@ class EnergyPerformanceStudy:
                 parallel=int(parallel or 0),
             ):
                 if parallel is not None and parallel > 1 and len(cells) > 1:
-                    self._run_parallel(
-                        result, cells, parallel, transport=transport, journal=journal
-                    )
+                    self._run_parallel(result, cells, parallel, journal)
                 else:
                     self._run_serial(result, cells, journal)
         finally:
@@ -413,37 +388,26 @@ class EnergyPerformanceStudy:
             key = (alg.name, n, p)
             measurement = journal.get(key) if journal is not None else None
             if measurement is None:
-                measurement = self._run_one(alg, n, p)
+                measurement = _run_cell(self._payload(self.engine, alg, n, p))
             elif msr is not None:
-                energy = measurement.energy
-                msr.deposit_energy(Plane.PACKAGE, energy.package)
-                msr.deposit_energy(Plane.PP0, energy.pp0)
-                msr.deposit_energy(Plane.DRAM, energy.dram)
+                _deposit(msr, measurement)
             result.runs[key] = measurement
             if journal is not None:
                 journal.record(key, measurement)
 
-    def _run_one(self, alg: MatmulAlgorithm, n: int, threads: int) -> RunMeasurement:
-        return _run_cell(
-            (
-                self.engine,
-                alg,
-                n,
-                threads,
-                self.config.seed,
-                n <= self.config.execute_max_n,
-                self.config.verify,
-                None,
-            )
-        )
-
-    def _prebuild(self, alg: MatmulAlgorithm, n: int, threads: int):
-        return prebuild_cell(
+    def _payload(
+        self, engine: Engine, alg: MatmulAlgorithm, n: int, threads: int
+    ) -> tuple:
+        """The :func:`_run_cell` payload of one cell: its coordinates
+        and settings only — whoever runs it lowers the cell itself."""
+        return (
+            engine,
             alg,
             n,
             threads,
-            seed=self.config.seed,
-            execute_max_n=self.config.execute_max_n,
+            self.config.seed,
+            n <= self.config.execute_max_n,
+            self.config.verify,
         )
 
     def _run_parallel(
@@ -451,22 +415,16 @@ class EnergyPerformanceStudy:
         result: StudyResult,
         cells: list[tuple[MatmulAlgorithm, int, int]],
         workers: int,
-        *,
-        transport: str | None = None,
-        journal: StudyJournal | None = None,
+        journal: StudyJournal | None,
     ) -> None:
         """Fan *cells* over a process pool; merge deterministically.
 
-        Under the ``"shm"`` transport (the default when available) the
-        parent lowers each cost-only arena cell once into a pooled
-        shared-memory segment and ships workers only the picklable
-        :class:`~repro.runtime.shm.ArenaDescriptor` — O(100) bytes per
-        cell instead of the multi-megabyte column payloads — which the
-        worker attaches read-only and runs the arena-native fast engine
-        on directly.  Segment lifecycle is owned by an
-        :class:`~repro.runtime.shm.ArenaPool` closed in a ``finally``,
-        so segments are unlinked even on worker crash or Ctrl-C (POSIX
-        keeps the pages alive for workers that still map them).
+        Workers receive only each cell's coordinates (see
+        :meth:`_payload`) and lower it themselves through
+        ``build_cached``, exactly as the serial path does: a templated
+        lowering is O(depth) stamping (a fast-matmul DAG is seven
+        stamped copies of the half-size one), so redoing it in the
+        worker is cheaper than shipping its columns there.
 
         When tracing is enabled in the parent, each worker records its
         cell under a fresh in-process tracer and ships the exported
@@ -481,9 +439,6 @@ class EnergyPerformanceStudy:
         """
         from concurrent.futures import ProcessPoolExecutor
 
-        from ..runtime.shm import ArenaPool, record_fallback
-
-        mode = _resolve_transport(transport)
         # Workers get an MSR-less copy of the engine: MSR deposits are
         # replayed by the parent (below) so the counter stream matches
         # the serial run, and emulated MSR files need not be picklable.
@@ -495,65 +450,29 @@ class EnergyPerformanceStudy:
             for alg, n, p in cells
             if journal is None or not journal.has((alg.name, n, p))
         ]
-        arena_pool = ArenaPool() if mode == "shm" and pending else None
         outcomes: dict[tuple[str, int, int], tuple] = {}
-        try:
-            with trace.span("prebuild", cells=len(pending), transport=mode):
-                payloads = []
-                for alg, n, p in pending:
-                    prebuilt = self._prebuild(alg, n, p)
-                    if prebuilt is not None and arena_pool is not None:
-                        arena = prebuilt.graph
-                        try:
-                            descriptor = arena.to_shm(arena_pool)
-                        except OSError as exc:
-                            # Segment creation failed (ENOSPC on a tiny
-                            # /dev/shm, EMFILE, ...): ship this cell —
-                            # and keep shipping the rest — by pickle.
-                            record_fallback(str(exc))
-                        else:
-                            _PICKLE_BYTES_AVOIDED.add(arena.nbytes)
-                            prebuilt = _ShmBuild(
-                                descriptor=descriptor,
-                                n=prebuilt.n,
-                                variant=prebuilt.variant,
-                                cutoff=prebuilt.cutoff,
-                            )
-                    payloads.append(
-                        (
-                            worker_engine,
-                            alg,
-                            n,
-                            p,
-                            self.config.seed,
-                            n <= self.config.execute_max_n,
-                            self.config.verify,
-                            prebuilt,
-                        )
+        if pending:
+            with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+                futures = [
+                    pool.submit(
+                        _run_cell_worker,
+                        self._payload(worker_engine, alg, n, p),
+                        traced,
                     )
-            if payloads:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(payloads))
-                ) as pool:
-                    futures = [
-                        pool.submit(_run_cell_worker, payload, traced)
-                        for payload in payloads
-                    ]
-                    # Collect in submission (= serial) order; a slow
-                    # early cell simply makes later .result() calls
-                    # return instantly.  A crashing worker is re-raised
-                    # with the failing cell's coordinates instead of a
-                    # bare pool traceback.
-                    for (alg, n, p), future in zip(pending, futures):
-                        try:
-                            outcomes[(alg.name, n, p)] = future.result()
-                        except StudyCellError:
-                            raise
-                        except Exception as exc:
-                            raise StudyCellError(alg.name, n, p, exc) from exc
-        finally:
-            if arena_pool is not None:
-                arena_pool.close()
+                    for alg, n, p in pending
+                ]
+                # Collect in submission (= serial) order; a slow early
+                # cell simply makes later .result() calls return
+                # instantly.  A crashing worker is re-raised with the
+                # failing cell's coordinates instead of a bare pool
+                # traceback.
+                for (alg, n, p), future in zip(pending, futures):
+                    try:
+                        outcomes[(alg.name, n, p)] = future.result()
+                    except StudyCellError:
+                        raise
+                    except Exception as exc:
+                        raise StudyCellError(alg.name, n, p, exc) from exc
         tracer = trace.active()
         msr = getattr(self.engine, "msr", None)
         with trace.span("merge", cells=len(cells)):
@@ -570,10 +489,7 @@ class EnergyPerformanceStudy:
                 if journal is not None:
                     journal.record(key, measurement)
                 if msr is not None:
-                    energy = measurement.energy
-                    msr.deposit_energy(Plane.PACKAGE, energy.package)
-                    msr.deposit_energy(Plane.PP0, energy.pp0)
-                    msr.deposit_energy(Plane.DRAM, energy.dram)
+                    _deposit(msr, measurement)
         # Attach worker spans after the merge span closes so cells sit
         # at depth 1 under study.run, exactly like the serial path (the
         # default phase summary aggregates at max_depth=1).
@@ -584,79 +500,13 @@ class EnergyPerformanceStudy:
                     tracer.attach(outcome[1])
 
 
-def prebuild_cell(
-    alg: MatmulAlgorithm,
-    n: int,
-    threads: int,
-    *,
-    seed: int,
-    execute_max_n: int,
-):
-    """Lower a cost-only cell in the dispatching process — its arena
-    pickles compactly (plain numpy columns, no kernels), so shipping
-    the build saves every worker from re-lowering the same cell.
-    Executed cells (operand arrays, kernels) stay worker-side.
-
-    Returns ``None`` whenever the cell should be built by the worker
-    instead; shared by the parallel study driver and the study
-    service's batch executor (:mod:`repro.service.executor`).
-    """
-    if n <= execute_max_n:
-        return None
-    try:
-        return alg.build_cached(n, threads, seed=seed, execute=False)
-    except Exception:
-        # Let the worker hit the same failure so it surfaces with
-        # the cell's coordinates via StudyCellError, not as a bare
-        # dispatcher-side traceback during payload construction.
-        return None
-
-
-def _resolve_transport(requested: str | None) -> str:
-    """Resolve the arena transport for a parallel run.
-
-    Precedence: explicit *requested* argument, then the
-    :data:`TRANSPORT_ENV` environment variable, then ``"auto"``.
-    ``"auto"`` probes shared-memory availability and degrades to
-    ``"pickle"`` with a one-time warning plus the
-    ``study.shm_fallbacks`` counter; forcing ``"shm"`` on a host
-    without it is a :class:`ConfigurationError`.
-    """
-    from ..runtime.shm import record_fallback, shm_available
-
-    mode = requested or os.environ.get(TRANSPORT_ENV) or "auto"
-    if mode not in TRANSPORTS:
-        raise ConfigurationError(
-            f"unknown study transport {mode!r}; expected one of {TRANSPORTS}"
-        )
-    if mode == "pickle":
-        return "pickle"
-    ok, reason = shm_available()
-    if ok:
-        return "shm"
-    if mode == "shm":
-        raise ConfigurationError(
-            f"transport='shm' requested but shared memory is unavailable: "
-            f"{reason}"
-        )
-    record_fallback(reason)
-    return "pickle"
-
-
-@dataclass(frozen=True)
-class _ShmBuild:
-    """Worker payload stand-in for a parent-lowered arena build.
-
-    Pickles to O(100) bytes: the arena's columns stay in the parent's
-    pooled shared-memory segment and only this descriptor travels.  The
-    worker re-inflates it to a cost-only
-    :class:`~repro.algorithms.base.BuildResult` over the attached arena.
-    """
-
-    descriptor: object  # ArenaDescriptor (kept untyped: picklable leaf)
-    n: int
-    variant: str
-    cutoff: int
+def _deposit(msr, measurement: RunMeasurement) -> None:
+    """Replay one cell's plane energies into *msr* (what ``engine.run``
+    deposits when the cell is simulated in process)."""
+    energy = measurement.energy
+    msr.deposit_energy(Plane.PACKAGE, energy.package)
+    msr.deposit_energy(Plane.PP0, energy.pp0)
+    msr.deposit_energy(Plane.DRAM, energy.dram)
 
 
 def _run_cell(payload) -> RunMeasurement:
@@ -673,64 +523,33 @@ def _run_cell(payload) -> RunMeasurement:
     tasks lowered, kernel sweeps, ...); the span itself records the
     cell's wall and CPU time.
     """
-    engine, alg, n, threads, seed, execute, verify, prebuilt = payload
-    attached = None
-    if isinstance(prebuilt, _ShmBuild):
-        from ..algorithms.base import BuildResult
-        from ..runtime.arena import TaskArena
-
-        try:
-            attached = TaskArena.from_shm(prebuilt.descriptor)
-        except Exception as exc:
-            # Attach failures (segment unlinked early, name collision,
-            # schema drift) surface with the cell's coordinates, not as
-            # a bare FileNotFoundError out of the pool.
-            raise StudyCellError(alg.name, n, threads, exc) from exc
-        prebuilt = BuildResult(
-            graph=attached,
-            n=prebuilt.n,
-            a=None,
-            b=None,
-            c=None,
-            variant=prebuilt.variant,
-            cutoff=prebuilt.cutoff,
-        )
-    try:
-        with trace.span(
-            "cell", alg=alg.name, n=n, threads=threads, execute=bool(execute)
-        ) as cell_span:
-            snap = metrics_registry().snapshot() if trace.enabled() else None
-            if prebuilt is not None:
-                build = prebuilt  # parent-lowered cost-only arena (see _prebuild)
-            else:
-                with trace.span("build", alg=alg.name, n=n, threads=threads):
-                    build = alg.build_cached(n, threads, seed=seed, execute=execute)
-            with trace.span("simulate", alg=alg.name, n=n, threads=threads):
-                measurement = engine.run(
-                    build.graph,
-                    threads,
-                    execute=execute,
-                    label=f"{alg.name}[n={n},p={threads}]",
+    engine, alg, n, threads, seed, execute, verify = payload
+    with trace.span(
+        "cell", alg=alg.name, n=n, threads=threads, execute=bool(execute)
+    ) as cell_span:
+        snap = metrics_registry().snapshot() if trace.enabled() else None
+        with trace.span("build", alg=alg.name, n=n, threads=threads):
+            build = alg.build_cached(n, threads, seed=seed, execute=execute)
+        with trace.span("simulate", alg=alg.name, n=n, threads=threads):
+            measurement = engine.run(
+                build.graph,
+                threads,
+                execute=execute,
+                label=f"{alg.name}[n={n},p={threads}]",
+            )
+        if execute and verify:
+            with trace.span("verify", alg=alg.name, n=n):
+                report = build.verify()
+            if not report.ok:
+                raise ValidationError(
+                    f"{alg.display_name} n={n} p={threads}: numerical error "
+                    f"{report.abs_error:.3e} exceeds bound {report.bound:.3e}"
                 )
-            if execute and verify:
-                with trace.span("verify", alg=alg.name, n=n):
-                    report = build.verify()
-                if not report.ok:
-                    raise ValidationError(
-                        f"{alg.display_name} n={n} p={threads}: numerical error "
-                        f"{report.abs_error:.3e} exceeds bound {report.bound:.3e}"
-                    )
-            if snap is not None:
-                cell_span.set(
-                    sim_elapsed_s=measurement.elapsed_s,
-                    metrics=metrics_registry().delta_since(snap),
-                )
-    finally:
-        if attached is not None:
-            from ..runtime.shm import detach_arena
-
-            del prebuilt
-            detach_arena(attached)
+        if snap is not None:
+            cell_span.set(
+                sim_elapsed_s=measurement.elapsed_s,
+                metrics=metrics_registry().delta_since(snap),
+            )
     return measurement
 
 

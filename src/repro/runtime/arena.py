@@ -49,8 +49,7 @@ carries :attr:`TaskArena.kernels`, a tid-aligned list of numpy closures
 (``None`` for rows with nothing to run); it is the one place the
 engines read closures from; ``from_graph`` fills it from
 ``Task.compute``.  Kernels are process-local: pickling an arena drops
-them, and a shared-memory attach never carries them, so an
-``execute=True`` run of such an arena fails with
+them, so an ``execute=True`` run of an unpickled arena fails with
 :class:`~repro.util.errors.SchedulingError`.
 """
 
@@ -64,7 +63,6 @@ from ..util.errors import SchedulingError, ValidationError
 from .cost import TaskCost
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .shm import ArenaDescriptor, ArenaPool
     from .task import TaskGraph
 
 __all__ = [
@@ -88,7 +86,7 @@ NO_CREATOR = -1
 
 #: Attributes under which the event engines cache their per-machine seat
 #: plans on a graph or arena (see :mod:`repro.runtime.seatplan`).  They
-#: are derived state: arena pickles and ``shm.detach_arena`` drop them.
+#: are derived state: arena pickles drop them.
 FAST_PLAN_ATTR = "_fastpath_plan"
 COMPILED_PLAN_ATTR = "_compiledpath_plan"
 PLAN_ATTRS = (FAST_PLAN_ATTR, COMPILED_PLAN_ATTR)
@@ -597,41 +595,17 @@ class TaskArena:
             )
         return out
 
-    # ---- shared-memory transport ---------------------------------------
-
-    def to_shm(self, pool: "ArenaPool") -> "ArenaDescriptor":
-        """Lay this arena's columns into *pool*'s shared memory and
-        return the compact picklable :class:`~repro.runtime.shm.ArenaDescriptor`
-        (segment name + per-column dtype/shape/offset table) a worker
-        hands to :meth:`from_shm`.  The pool owns segment lifecycle
-        (refcounts, unlink); see :mod:`repro.runtime.shm`."""
-        return pool.put(self)
-
-    @staticmethod
-    def from_shm(descriptor: "ArenaDescriptor") -> "TaskArena":
-        """Attach a descriptor's segment and return the zero-copy,
-        read-only arena view (columns are numpy views into the shared
-        mapping).  The segment handle rides on ``_shm``; release it
-        with :func:`repro.runtime.shm.detach_arena`."""
-        from .shm import attach_arena
-
-        return attach_arena(descriptor)
-
     # ---- pickling ------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Drop derived caches (and any engine seat plan, and any
-        attached shared-memory handle) — workers rebuild them lazily;
-        only the core columns cross the wire.  Kernels are dropped too:
-        closures over process-local operands cannot travel, so the
-        clone is cost-only.  Pickling an shm-attached arena deep-copies
-        the columns out of the mapping, which is always safe (just no
-        longer zero-copy)."""
+        """Drop derived caches (and any engine seat plan) — a clone
+        rebuilds them lazily; only the core columns cross the wire.
+        Kernels are dropped too: closures over process-local operands
+        cannot travel, so the clone is cost-only."""
         state = {
             k: v
             for k, v in self.__dict__.items()
-            if not k.startswith("_c_")
-            and k not in (*PLAN_ATTRS, "_shm")
+            if not k.startswith("_c_") and k not in PLAN_ATTRS
         }
         state["kernels"] = None
         return state

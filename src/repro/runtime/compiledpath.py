@@ -21,7 +21,8 @@ over unchanged (see :mod:`repro.runtime.fastpath`).  Any drift from
 ``fast`` is a bug the ``compiled_engine`` verify family exists to
 catch.
 
-Toolchain semantics mirror the shm transport (PR 5):
+Toolchain semantics — an explicit request fails loudly, a preference
+degrades loudly:
 
 * :func:`compiled_available` probes for a working C compiler
   (``$CC``, ``cc``, ``gcc``, ``clang``; ``REPRO_COMPILED_TOOLCHAIN=none``
@@ -104,7 +105,7 @@ class _KernelInternalError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# fallback accounting (mirrors repro.runtime.shm)
+# fallback accounting
 
 _fallback_warned = False
 
@@ -127,8 +128,9 @@ def record_fallback(reason: str) -> None:
 def reset_fallback_warning() -> None:
     """Re-arm the once-per-process fallback warning.
 
-    Same rationale as :func:`repro.runtime.shm.reset_fallback_warning`:
-    the latch is process-global, so long-lived processes (the study
+    The latch is process-global, so without a reset a single early
+    fallback silences the warning for every later run in the same
+    process — and leaks between tests.  Long-lived processes (the study
     service, pytest) reset it at unit-of-work boundaries; the counter
     is unaffected.
     """

@@ -395,8 +395,7 @@ class Scheduler:
             raise ConfigurationError(f"unknown engine {engine!r}")
         if engine == "compiled":
             # Explicitly requested (not env-resolved): fail fast rather
-            # than degrade, mirroring the forced-shm-transport
-            # semantics.  Compile cost itself stays lazy (first run).
+            # than degrade.  Compile cost itself stays lazy (first run).
             from .compiledpath import compiled_available
 
             ok, reason = compiled_available()

@@ -7,8 +7,7 @@ long-running, query-oriented front end:
 * :mod:`repro.service.service` — the asyncio :class:`StudyService`
   (dedup, batching, store traffic).
 * :mod:`repro.service.executor` — the synchronous :class:`CellExecutor`
-  that actually simulates batches (serial or over the study's shm
-  worker pool).
+  that actually simulates batches (serial or over a worker pool).
 * :mod:`repro.service.server` — a unix-socket JSON-lines front door
   (``repro serve`` / ``repro query``).
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..core.study import PAPER_THREADS, StudyConfig, StudyResult
+from ..core.study import PAPER_THREADS, StudyConfig, StudyResult, _deposit
 from ..machine.specs import MachineSpec
 from ..power.planes import Plane
 from ..sim.measurement import RunMeasurement
@@ -169,10 +169,7 @@ class StudyResponse:
         :class:`~repro.core.study.EnergyPerformanceStudy` run produces,
         so RAPL/PAPI readers observe served results identically."""
         for cell in self.cells:
-            energy = cell.measurement.energy
-            msr.deposit_energy(Plane.PACKAGE, energy.package)
-            msr.deposit_energy(Plane.PP0, energy.pp0)
-            msr.deposit_energy(Plane.DRAM, energy.dram)
+            _deposit(msr, cell.measurement)
 
     def to_study_result(
         self,

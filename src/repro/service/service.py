@@ -17,7 +17,8 @@ long-running query service:
 * **Batch** — cold cells accumulate briefly (``batch_window_s``, or
   until ``batch_max_cells``) so overlapping requests coalesce into one
   executor batch, which runs off-loop in a worker thread and — with
-  ``workers > 1`` — fans out over the process pool with shm transport.
+  ``workers > 1`` — fans out over a process pool whose workers lower
+  their own cells.
 * **Write-back** — computed cells are persisted before their futures
   resolve, so a re-query is a store hit even across service restarts.
 
@@ -45,11 +46,11 @@ from pathlib import Path
 from typing import Iterable
 
 from ..core.resultstore import ResultStore, cell_key, machine_fingerprint
-from ..core.study import TRANSPORTS
 from ..machine.specs import MachineSpec, haswell_e3_1225
 from ..observability import trace
 from ..observability.metrics import counter, registry
 from ..sim.engine import Engine
+from ..util.deprecation import check_transport
 from ..util.errors import ConfigurationError
 from .cells import CellResult, CellSpec, StudyRequest, StudyResponse
 from .executor import CellExecutor
@@ -77,7 +78,7 @@ _CANCELLED = counter(
 )
 
 #: Counter/metric name prefixes that make up the service ops dashboard.
-_DASHBOARD_PREFIXES = ("service.", "store.", "study.", "shm.")
+_DASHBOARD_PREFIXES = ("service.", "store.", "study.")
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,8 @@ class ServiceConfig:
 
     ``workers=0`` computes batches inline in the executor thread (the
     deterministic default); ``workers > 1`` fans batches over a
-    process pool with the study's shm transport.  ``batch_window_s``
+    process pool whose workers lower their own cells.  ``transport``
+    is deprecated and ignored (removal in 1.4.0).  ``batch_window_s``
     is how long a cold cell waits for company before its batch
     dispatches — long enough to coalesce a burst of overlapping
     requests, far below human-visible latency.
@@ -111,10 +113,12 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"batch_window_s must be >= 0, got {self.batch_window_s}"
             )
-        if self.transport is not None and self.transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"transport must be one of {TRANSPORTS} (or None), "
-                f"got {self.transport!r}"
+        if self.transport is not None:
+            check_transport(
+                self.transport,
+                "ServiceConfig(transport=...)",
+                "use ServiceConfig() without transport",
+                stacklevel=3,
             )
 
 
@@ -144,7 +148,6 @@ class StudyService:
             self.machine,
             engine=engine if engine is not None else self.config.engine,
             workers=self.config.workers,
-            transport=self.config.transport,
             verify=self.config.verify,
         )
         #: Cached so hot-path key derivation skips re-hashing the spec.
@@ -322,7 +325,7 @@ class StudyService:
 
     def stats(self) -> dict[str, float]:
         """The service ops dashboard: every ``service.*``, ``store.*``,
-        ``study.*`` and ``shm.*`` counter/gauge value, by name."""
+        and ``study.*`` counter/gauge value, by name."""
         out: dict[str, float] = {}
         for metric in registry():
             if metric.name.startswith(_DASHBOARD_PREFIXES):

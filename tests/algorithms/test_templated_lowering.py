@@ -22,7 +22,6 @@ from repro.algorithms.strassen import StrassenWinograd
 from repro.runtime.arena import _COST_FIELDS, TaskArena
 from repro.runtime.cost import TaskCost
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.shm import ArenaPool, detach_arena, shm_available
 from repro.runtime.task import TaskGraph
 from repro.testing.oracle import compare_schedules
 from repro.util.errors import SchedulingError
@@ -152,20 +151,6 @@ class TestKernels:
         for engine in ("reference", "fast", "compiled"):
             with pytest.raises(SchedulingError, match="cost-only"):
                 Scheduler(machine, 2, execute=True, engine=engine).run(clone)
-
-    def test_shm_attach_carries_no_kernels(self, machine):
-        if not shm_available()[0]:
-            pytest.skip(f"shared memory unavailable: {shm_available()[1]}")
-        build = StrassenWinograd(machine).build(256, 2, execute=True)
-        with ArenaPool() as pool:
-            attached = TaskArena.from_shm(build.graph.to_shm(pool))
-            try:
-                assert attached.kernels is None
-                with pytest.raises(SchedulingError, match="cost-only"):
-                    Scheduler(machine, 2, execute=True, engine="fast").run(attached)
-            finally:
-                detach_arena(attached)
-        assert not build.c.any()  # never silently "ran" into C
 
 
 def _object_form(arena):

@@ -2,14 +2,17 @@
 
 ``EnergyPerformanceStudy._run(N)`` (behind ``RunOptions(parallel=N)``)
 fans the independent matrix cells over a process pool, but the merged
-result must be exactly the serial run: same key order, same measurements, and — because the parent
-replays every cell's plane energies into its own MSR in serial order —
-the same RAPL counter stream.
+result must be exactly the serial run: same key order, same
+measurements, and — because the parent replays every cell's plane
+energies into its own MSR in serial order — the same RAPL counter
+stream.  Workers get only each cell's coordinates and lower the cell
+themselves, executed and cost-only cells alike.
 """
 
 import pytest
 
 from repro.algorithms.base import MatmulAlgorithm
+from repro.api import RunOptions, Study
 from repro.algorithms.registry import make_algorithm
 from repro.core.study import EnergyPerformanceStudy, StudyConfig
 from repro.power.msr import PLANE_MSR, MsrFile
@@ -20,7 +23,9 @@ from repro.util.errors import StudyCellError
 
 @pytest.fixture(scope="module")
 def pair(machine):
-    """(serial result + its MsrFile, parallel result + its MsrFile)."""
+    """(serial result + its MsrFile, parallel result + its MsrFile).
+
+    n=128 cells execute and verify; n=256 cells are cost-only."""
     cfg = StudyConfig(sizes=(128, 256), threads=(1, 2), execute_max_n=128)
 
     def run(parallel):
@@ -59,6 +64,38 @@ def test_msr_counter_stream_replayed(pair):
     for plane in (Plane.PACKAGE, Plane.PP0, Plane.DRAM):
         addr = PLANE_MSR[plane]
         assert msr_ser.read(addr) == msr_par.read(addr), plane
+
+
+def test_all_transports_bit_identical(machine):
+    """serial == parallel under every deprecated transport value,
+    measurements and MSR counter stream alike.  The knob is ignored:
+    n=512 cells are cost-only and lowered inside the workers whatever
+    it says."""
+    cfg = dict(sizes=(128, 512), threads=(1, 2), execute_max_n=128)
+
+    def run(parallel, transport=None):
+        msr = MsrFile()
+        opts = dict(engine=Engine(machine, msr=msr), parallel=parallel)
+        if transport is None:
+            options = RunOptions(**opts)
+        else:
+            with pytest.warns(DeprecationWarning, match="transport"):
+                options = RunOptions(transport=transport, **opts)
+        return Study(machine, **cfg).run(options).result, msr
+
+    ser, msr_ser = run(None)
+    others = [run(2, transport) for transport in (None, "shm", "pickle")]
+    for res, msr in others:
+        assert list(res.runs) == list(ser.runs)
+        for key in ser.runs:
+            a, b = ser.runs[key], res.runs[key]
+            assert a.elapsed_s == b.elapsed_s, key
+            assert a.energy.package == b.energy.package, key
+            assert a.energy.pp0 == b.energy.pp0, key
+            assert a.energy.dram == b.energy.dram, key
+        for plane in (Plane.PACKAGE, Plane.PP0, Plane.DRAM):
+            addr = PLANE_MSR[plane]
+            assert msr.read(addr) == msr_ser.read(addr), plane
 
 
 class _CrashingAlg(MatmulAlgorithm):
@@ -130,114 +167,3 @@ def test_parallel_one_is_serial_path(machine):
     study = EnergyPerformanceStudy(machine, config=cfg)
     result = study._run(1)
     assert len(result.runs) == 3 * 1 * 2
-
-
-# ---- shared-memory transport ------------------------------------------
-
-
-def _leaked_segments():
-    import glob
-
-    return set(glob.glob("/dev/shm/repro-arena-*"))
-
-
-def test_all_transports_bit_identical(machine):
-    """serial == parallel-pickle == parallel-shm, measurements and MSR
-    counter stream alike.  Sizes above execute_max_n force the
-    pre-lowered arena path, so the shm run really ships descriptors."""
-    cfg = StudyConfig(sizes=(128, 512), threads=(1, 2), execute_max_n=128)
-    before = _leaked_segments()
-
-    def run(parallel, transport=None):
-        msr = MsrFile()
-        study = EnergyPerformanceStudy(
-            machine, config=cfg, _engine=Engine(machine, msr=msr)
-        )
-        return study._run(parallel, transport=transport), msr
-
-    ser, msr_ser = run(None)
-    shm, msr_shm = run(2, "shm")
-    pkl, msr_pkl = run(2, "pickle")
-    assert list(ser.runs) == list(shm.runs) == list(pkl.runs)
-    for key in ser.runs:
-        a, b, c = ser.runs[key], shm.runs[key], pkl.runs[key]
-        assert a.elapsed_s == b.elapsed_s == c.elapsed_s, key
-        assert a.energy.package == b.energy.package == c.energy.package, key
-        assert a.energy.pp0 == b.energy.pp0 == c.energy.pp0, key
-        assert a.energy.dram == b.energy.dram == c.energy.dram, key
-    for plane in (Plane.PACKAGE, Plane.PP0, Plane.DRAM):
-        addr = PLANE_MSR[plane]
-        assert msr_ser.read(addr) == msr_shm.read(addr) == msr_pkl.read(addr)
-    assert _leaked_segments() == before
-
-
-def test_shm_run_counts_pickle_bytes_avoided(machine):
-    """Every descriptor-shipped cell credits its arena's column bytes
-    to the study.pickle_bytes_avoided counter."""
-    from repro.observability.metrics import registry
-
-    cfg = StudyConfig(sizes=(512,), threads=(1, 2), execute_max_n=0, verify=False)
-    study = EnergyPerformanceStudy(
-        machine, config=cfg, _engine=Engine(machine, engine="fast")
-    )
-    snap = registry().snapshot()
-    study._run(2, transport="shm")
-    delta = registry().delta_since(snap)
-    assert delta.get("study.pickle_bytes_avoided", 0) > 0
-    assert delta.get("shm.bytes_mapped", 0) > 0
-
-
-def test_transport_env_var_is_honoured(machine, monkeypatch):
-    """REPRO_STUDY_TRANSPORT steers entry points that don't plumb the
-    knob (the verify harness's study differential in CI)."""
-    from repro.core.study import _resolve_transport
-
-    monkeypatch.setenv("REPRO_STUDY_TRANSPORT", "pickle")
-    assert _resolve_transport(None) == "pickle"
-    assert _resolve_transport("shm") == "shm"  # explicit arg wins
-    monkeypatch.setenv("REPRO_STUDY_TRANSPORT", "shm")
-    assert _resolve_transport(None) == "shm"
-    monkeypatch.delenv("REPRO_STUDY_TRANSPORT")
-    assert _resolve_transport(None) in ("shm", "pickle")  # auto
-
-
-def test_worker_crash_under_shm_leaves_no_segments(machine):
-    """A crashing cell mid-sweep must not strand /dev/shm segments —
-    the pool closes in the driver's finally."""
-    before = _leaked_segments()
-    cfg = StudyConfig(
-        sizes=(64, 128),
-        threads=(1, 2),
-        execute_max_n=0,
-        verify=False,
-        baseline="crasher",
-    )
-    study = EnergyPerformanceStudy(machine, [_CrashingAlg(machine)], config=cfg)
-    with pytest.raises(StudyCellError):
-        study._run(2, transport="shm")
-    assert _leaked_segments() == before
-
-
-def test_interrupt_mid_prebuild_leaves_no_segments(machine, monkeypatch):
-    """KeyboardInterrupt while the parent is still laying arenas into
-    the pool (first segments already created) must reach the driver's
-    finally and unlink everything."""
-    before = _leaked_segments()
-    cfg = StudyConfig(sizes=(512,), threads=(1, 2), execute_max_n=0, verify=False)
-    study = EnergyPerformanceStudy(
-        machine, config=cfg, _engine=Engine(machine, engine="fast")
-    )
-    real_prebuild = EnergyPerformanceStudy._prebuild
-    calls = {"n": 0}
-
-    def interrupting(self, alg, n, p):
-        calls["n"] += 1
-        if calls["n"] >= 3:
-            raise KeyboardInterrupt
-        return real_prebuild(self, alg, n, p)
-
-    monkeypatch.setattr(EnergyPerformanceStudy, "_prebuild", interrupting)
-    with pytest.raises(KeyboardInterrupt):
-        study._run(2, transport="shm")
-    assert calls["n"] >= 3
-    assert _leaked_segments() == before

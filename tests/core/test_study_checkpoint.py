@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.core.journal import (
+    ARENA_SCHEMA_VERSION,
     JOURNAL_VERSION,
     StudyJournal,
     study_fingerprint,
@@ -94,11 +95,16 @@ def test_parallel_resume_is_bit_identical(machine, tmp_path):
     """Resume must compose with the process-pool driver: journaled
     cells are not resubmitted, and the merge is still serial-order."""
     journal = tmp_path / "study.jsonl"
-    full = _study(machine)._run(None)
+    msr_full = MsrFile()
+    full = _study(machine, msr_full)._run(None)
     _study(machine)._run(None, checkpoint=journal)
     _truncate_after(journal, 5)
-    resumed = _study(machine)._run(2, resume=journal)
+    msr_res = MsrFile()
+    resumed = _study(machine, msr_res)._run(2, resume=journal)
     _assert_identical(full, resumed)
+    for plane in (Plane.PACKAGE, Plane.PP0, Plane.DRAM):
+        addr = PLANE_MSR[plane]
+        assert msr_full.read(addr) == msr_res.read(addr), plane
 
 
 def test_resume_counts_cells_metric(machine, tmp_path):
@@ -220,3 +226,10 @@ def test_fingerprint_covers_engine_and_config():
     assert study_fingerprint("m", ["a", "b"], {"seed": 0}, "reference") != base
     assert study_fingerprint("m", ["a"], {"seed": 0}, "fast") != base
     assert study_fingerprint("other", ["a", "b"], {"seed": 0}, "fast") != base
+
+
+def test_fingerprint_is_stable_across_releases():
+    """The digest journals written by 1.2 carry: ``arena_schema`` stays
+    1 in the header and the fingerprint, so they still resume."""
+    assert ARENA_SCHEMA_VERSION == 1
+    assert study_fingerprint("m", ["a", "b"], {"seed": 0}, "fast") == "f988b7a4d849da92"

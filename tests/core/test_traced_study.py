@@ -64,6 +64,28 @@ def test_parallel_trace_merges_every_cell_in_serial_order(machine):
         assert cur.t_start >= prev.t_end - 1e-12
 
 
+def test_parallel_cells_have_the_serial_child_spans(machine):
+    """A worker lowers its cell inside the cell's own ``build`` span,
+    exactly as the serial path does, so every cell has the same child
+    spans either way (cost-only cells included)."""
+
+    def children(run):
+        return {
+            (sp.attrs["alg"], sp.attrs["n"], sp.attrs["threads"]): [
+                child.name for child in run.tracer.children(sp)
+            ]
+            for sp in run.tracer.find("cell")
+        }
+
+    serial = children(Study(machine, **CFG).run(RunOptions(trace=True)))
+    par = children(Study(machine, **CFG).run(RunOptions(parallel=2, trace=True)))
+    assert par == serial
+    assert {tuple(names) for names in serial.values()} == {
+        ("build", "simulate", "verify"),  # n=128: executed and verified
+        ("build", "simulate"),  # n=256: cost-only
+    }
+
+
 def test_parallel_trace_absorbs_worker_metrics(machine):
     serial = Study(machine, **CFG).run(RunOptions(trace=True))
     par = Study(machine, **CFG).run(RunOptions(parallel=2, trace=True))

@@ -8,7 +8,8 @@ merely tolerance agreement.  The tolerance contract against the
 reference engine is inherited from the fast kernel and covered by the
 verify harness's ``compiled_engine`` family.
 
-Availability semantics mirror the shm transport's (PR 5):
+Availability semantics: an explicit request fails loudly, a preference
+degrades loudly.
 
 * ``Scheduler(engine="compiled")`` on a host without a toolchain is a
   hard ``ConfigurationError`` — the caller explicitly asked.

@@ -69,6 +69,15 @@ def test_service_config_validation():
         ServiceConfig(transport="carrier-pigeon")
 
 
+def test_service_config_transport_is_a_deprecated_no_op():
+    with pytest.warns(DeprecationWarning, match=r"ServiceConfig\(transport=\.\.\.\)"):
+        cfg = ServiceConfig(workers=2, transport="shm")
+    assert cfg.transport == "shm"
+    # The knob reaches nothing: the executor takes no transport.
+    svc = StudyService(config=cfg)
+    assert not hasattr(svc._executor, "transport")
+
+
 # ---------------------------------------------------------------------------
 # dedup / store / batching
 

@@ -30,13 +30,23 @@ class TestRunOptions:
         assert isinstance(opts.engine, Engine)
 
     def test_transport_default_defers_to_environment(self):
-        assert RunOptions().transport is None
+        """No environment variable is consulted any more; the default
+        stays ``None`` and constructing it does not warn."""
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            assert RunOptions().transport is None
 
     def test_known_transports_accepted(self):
+        """Every 1.2 transport value is still accepted (deprecated)."""
         for transport in ("auto", "shm", "pickle"):
-            assert RunOptions(transport=transport).transport == transport
+            with pytest.warns(DeprecationWarning, match="transport"):
+                opts = RunOptions(transport=transport)
+            assert opts.transport == transport
 
     def test_unknown_transport_rejected(self):
+        """A value 1.2 rejected stays an error during the deprecation."""
         with pytest.raises(ConfigurationError, match="transport"):
             RunOptions(transport="osmosis")
 
@@ -53,16 +63,16 @@ class TestRunOptions:
             assert a.elapsed_s == b.elapsed_s, key
             assert a.energy.package == b.energy.package, key
 
-    def test_parallel_transports_match_serial(self, machine):
+    def test_parallel_matches_serial(self, machine):
+        """Workers lower their own cost-only cells; the result is the
+        serial one, bit for bit."""
         serial = Study(machine, **CFG).run(RunOptions())
-        for transport in ("shm", "pickle"):
-            par = Study(machine, **CFG).run(
-                RunOptions(parallel=2, transport=transport)
-            )
-            for key in serial.result.runs:
-                a, b = serial.result.runs[key], par.result.runs[key]
-                assert a.elapsed_s == b.elapsed_s, (transport, key)
-                assert a.energy.package == b.energy.package, (transport, key)
+        par = Study(machine, **CFG).run(RunOptions(parallel=2))
+        assert list(serial.result.runs) == list(par.result.runs)
+        for key in serial.result.runs:
+            a, b = serial.result.runs[key], par.result.runs[key]
+            assert a.elapsed_s == b.elapsed_s, key
+            assert a.energy.package == b.energy.package, key
 
 
 class TestStudy:
@@ -166,6 +176,32 @@ class TestDeprecationShims:
         with pytest.raises(TypeError):
             study.run(parallel=1)
         assert not hasattr(study.run(), "avg_power")
+
+    def test_run_options_transport_is_a_deprecated_no_op(self, machine):
+        """``RunOptions(transport=...)`` (deprecated in 1.3, removed in
+        1.4.0) warns and leaves results unchanged."""
+        assert RunOptions().transport is None
+        plain = Study(machine, **CFG).run(RunOptions(parallel=2))
+        for transport in ("auto", "shm", "pickle"):
+            with pytest.warns(
+                DeprecationWarning, match=r"RunOptions\(transport=\.\.\.\)"
+            ):
+                opts = RunOptions(parallel=2, transport=transport)
+            assert opts.transport == transport
+        run = Study(machine, **CFG).run(opts)
+        for key in plain.result.runs:
+            a, b = plain.result.runs[key], run.result.runs[key]
+            assert a.elapsed_s == b.elapsed_s, key
+            assert a.energy.package == b.energy.package, key
+
+    def test_transports_constant_is_deprecated(self):
+        import repro.api
+
+        with pytest.warns(DeprecationWarning, match="TRANSPORTS"):
+            assert repro.api.TRANSPORTS == ("auto", "shm", "pickle")
+        assert "TRANSPORTS" not in repro.api.__all__
+        with pytest.raises(AttributeError):
+            repro.api.NO_SUCH_NAME
 
     def test_plain_usage_does_not_warn(self, machine, recwarn):
         import warnings

@@ -133,14 +133,35 @@ def test_study_parallel_matches_serial(capsys):
     assert out_s == out_p  # deterministic fan-out: identical tables
 
 
-def test_study_transports_match(capsys):
-    """--transport shm and --transport pickle print identical tables."""
+def test_study_transport_flag_is_a_deprecated_no_op(capsys):
+    """--transport (deprecated, removed in 1.4.0) prints a one-line note
+    to stderr and changes nothing else."""
     argv = ("study", "--sizes", "256", "--threads", "1", "2",
             "--execute-max-n", "0", "--no-verify", "--parallel", "2")
-    code_a, out_a, _ = run(capsys, *argv, "--transport", "shm")
-    code_b, out_b, _ = run(capsys, *argv, "--transport", "pickle")
+    code_a, out_a, err_a = run(capsys, *argv)
+    code_b, out_b, err_b = run(capsys, *argv, "--transport", "shm")
     assert code_a == code_b == 0
     assert out_a == out_b
+    assert "--transport" not in err_a
+    note = [line for line in err_b.splitlines() if "--transport" in line]
+    assert len(note) == 1 and "deprecated" in note[0] and "1.4.0" in note[0]
+    with pytest.raises(SystemExit):  # a value 1.2 rejected stays rejected
+        main([*argv, "--transport", "osmosis"])
+
+
+def test_serve_transport_flag_is_a_deprecated_no_op(capsys, monkeypatch):
+    import repro.service
+
+    seen = {}
+
+    async def fake_serve(socket, *, store, machine, config):
+        seen["config"] = config
+
+    monkeypatch.setattr(repro.service, "serve", fake_serve)
+    code, _, err = run(capsys, "serve", "--socket", "x.sock", "--transport", "pickle")
+    assert code == 0
+    assert "--transport is deprecated" in err
+    assert seen["config"].transport is None
 
 
 def test_study_checkpoint_then_resume(capsys, tmp_path):

@@ -13,7 +13,9 @@ untied flags, cost bytes), executed padded builds included.  A third,
 itself: the n=512 paper cells, and the records and interval bytes of
 CAPS and Strassen schedules under every policy.  The fast golden cannot
 stand in for it, because the engines are not decision-for-decision
-identical on every CAPS lowering (see ROADMAP item 2).
+identical on every CAPS lowering (see ROADMAP item 2).  A fourth,
+``tests/golden/store_keys.json``, pins the study service: each cell's
+content address and a digest of its served measurement.
 
 Regenerate only with ``python tools/golden.py --write`` and justify the
 diff in CHANGES.md.
@@ -96,4 +98,26 @@ def test_reference_diff_names_schedule_and_field():
     assert golden.diff_reference(expected, actual) == [
         "schedule caps/256/2/fifo makespan_s: golden 1.0, got 2.0",
         "schedule caps/256/4/fifo: not in the golden",
+    ]
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_store_keys_match_golden(workers):
+    """The golden is written in process (``workers=0``); a pooled
+    service must serve the same keys and the same measurements."""
+    expected = golden.load_store_keys_golden()
+    assert expected["request"]["sizes"] == list(golden.STORE_REQUEST["sizes"])
+    assert len(expected["cells"]) == 12
+    assert {c["execute"] for c in expected["cells"].values()} == {True, False}
+    lines = golden.diff_store_keys(expected["cells"], golden.store_key_cells(workers))
+    assert not lines, "store-key drift:\n" + "\n".join(lines)
+
+
+def test_store_key_diff_names_cell_and_field():
+    expected = {"caps/64/1": {"key": "k", "execute": True, "measurement": "aa"}}
+    actual = {"caps/64/1": {"key": "k", "execute": True, "measurement": "bb"},
+              "caps/64/2": {}}
+    assert golden.diff_store_keys(expected, actual) == [
+        "store caps/64/1 measurement: golden 'aa', got 'bb'",
+        "store caps/64/2: not in the golden",
     ]

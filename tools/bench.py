@@ -37,14 +37,12 @@ and the trace-driven cache simulator:
     instead of ``O(7^depth)`` Python rows is pinned host-independently
     by ``tests/algorithms/test_templated_lowering.py``.
 ``study_parallel``
-    Parallel-study dispatch: per-cell bytes crossing the pickle
-    boundary under the shared-memory transport (an
-    ``ArenaDescriptor``) versus the pickling transport (the arena's
-    columns), at the largest benchmarked size — plus the wall time of
-    a small parallel study under each transport.  The gated
-    ``bytes_ratio`` (pickled column bytes / descriptor bytes) is the
-    communication-avoidance headline: it must stay >= 100x at
-    n >= 1024.
+    A small cost-only study (``fast`` engine, sizes up to 1024) run
+    serially and over a two-worker process pool, best-of-*repeats*
+    each.  Workers receive only cell coordinates and lower their own
+    cells, so the gated ``speedup`` (``serial_s / parallel_s``) is what
+    the pool buys end to end: pool start-up, payload and result
+    pickling and the serial-order merge included.
 ``network_sim``
     The discrete-event network simulator on a thousand-rank 2.5D SUMMA
     schedule (torus topology, c=2): the arena-lowered vectorized
@@ -64,8 +62,8 @@ and the trace-driven cache simulator:
     lookup) must stay under 1 ms.
 
 Host wall-clock numbers are machine-specific, so the regression gate
-compares *ratios* (reference/fast, cold/hit), which are stable across
-hosts.  ``--smoke`` runs reduced-size variants and fails when any
+compares *ratios* (reference/fast, cold/hit, serial/parallel), which are
+stable across hosts with the same core count.  ``--smoke`` runs reduced-size variants and fails when any
 gated ratio regresses more than 25% against the committed baseline.
 
 Run:
@@ -106,7 +104,7 @@ GATED = {
     "scheduler_wide2000": "ratio",
     "matrix_cost": "ratio",
     "lowering_cache": "ratio",
-    "study_parallel": "bytes_ratio",
+    "study_parallel": "speedup",
 }
 #: Allowed regression before the gate fails (fraction of baseline).
 TOLERANCE = 0.25
@@ -293,49 +291,48 @@ def bench_graph_build(
     return out
 
 
-def bench_study_parallel(machine, sizes: tuple[int, ...], workers: int = 2) -> dict:
-    """Parallel-study dispatch overhead: shm descriptors vs pickling.
-
-    ``pickle_bytes``/``descriptor_bytes`` measure what one cell of the
-    largest benchmarked size actually ships across the process-pool
-    pickle boundary under each transport; ``bytes_ratio`` is their
-    quotient (gated — the whole point of the shm transport is that it
-    stays large and grows with n).  ``shm_s``/``pickle_s`` time a small
-    cost-only parallel study end to end under each forced transport.
-    """
-    import pickle
-
-    from repro.core.study import _ShmBuild
-    from repro.runtime.shm import ArenaPool
-
-    n_big = max(sizes)
-    alg = StrassenWinograd(machine)
-    build = alg.build(n_big, 4, execute=False)
-    arena = build.graph
-    out = {"n": n_big, "pickle_bytes": len(pickle.dumps(arena))}
-    with ArenaPool() as pool:
-        descriptor = arena.to_shm(pool)
-        shipped = _ShmBuild(
-            descriptor=descriptor,
-            n=build.n,
-            variant=build.variant,
-            cutoff=build.cutoff,
-        )
-        out["descriptor_bytes"] = len(pickle.dumps(shipped))
-    out["bytes_ratio"] = out["pickle_bytes"] / out["descriptor_bytes"]
+def bench_study_parallel(
+    machine, sizes: tuple[int, ...], pairs: int, workers: int = 2
+) -> dict:
+    """Serial versus ``parallel=workers`` wall time of one small
+    cost-only study, timed in *pairs* that alternate which side runs
+    first; ``serial_s``/``parallel_s`` are medians and the gated
+    ``speedup`` is the median per-pair quotient, which host speed drift
+    between pairs does not move.  Every run builds fresh algorithm
+    instances, so both sides lower cold."""
+    import statistics
 
     bench_sizes = tuple(s for s in sizes if s <= 1024) or (min(sizes),)
     cfg = StudyConfig(sizes=bench_sizes, execute_max_n=0, verify=False)
-    for transport in ("shm", "pickle"):
-        study = EnergyPerformanceStudy(
+
+    def run(parallel):
+        return EnergyPerformanceStudy(
             machine, config=cfg, _engine=Engine(machine, engine="fast")
-        )
+        )._run(parallel)
+
+    def timed(parallel) -> float:
         t0 = time.perf_counter()
-        result = study._run(workers, transport=transport)
-        out[f"{transport}_s"] = time.perf_counter() - t0
-        out["cells"] = len(result.runs)
-    out["workers"] = workers
-    return out
+        run(parallel)
+        return time.perf_counter() - t0
+
+    cells = len(run(None).runs)  # also warms imports and lazy set-up
+    serial, parallel = [], []
+    for i in range(pairs):
+        if i % 2:
+            parallel.append(timed(workers))
+            serial.append(timed(None))
+        else:
+            serial.append(timed(None))
+            parallel.append(timed(workers))
+    return {
+        "sizes": list(bench_sizes),
+        "cells": cells,
+        "workers": workers,
+        "pairs": pairs,
+        "serial_s": statistics.median(serial),
+        "parallel_s": statistics.median(parallel),
+        "speedup": statistics.median(s / p for s, p in zip(serial, parallel)),
+    }
 
 
 def bench_network_sim(machine, smoke: bool, repeats: int) -> dict:
@@ -490,6 +487,30 @@ def bench_cache_sim(repeats: int) -> dict:
     return {"stream_ms": _best_of(stream, repeats) * 1e3}
 
 
+def provenance() -> dict:
+    """Git revision (``+dirty`` with uncommitted changes) and the line
+    count of ``src/``'s Python files, for the baseline's meta."""
+    import subprocess
+
+    root = Path(__file__).resolve().parent.parent
+
+    def git(*args: str) -> str:
+        try:
+            return subprocess.run(
+                ["git", *args], cwd=root, capture_output=True, text=True, check=True
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return ""
+
+    rev = git("rev-parse", "--short", "HEAD") or "unknown"
+    if git("status", "--porcelain", "--", "src", "tools"):
+        rev += "+dirty"
+    lines = sum(
+        len(path.read_bytes().splitlines()) for path in (root / "src").rglob("*.py")
+    )
+    return {"git_rev": rev, "src_lines": lines}
+
+
 def run_suite(smoke: bool) -> dict:
     machine = haswell_e3_1225()
     if smoke:
@@ -503,7 +524,7 @@ def run_suite(smoke: bool) -> dict:
         "lowering_cache": bench_lowering_cache(machine, cache_n, repeats),
         "cache_sim64k": bench_cache_sim(repeats),
         "graph_build": bench_graph_build(machine, sizes, repeats),
-        "study_parallel": bench_study_parallel(machine, sizes),
+        "study_parallel": bench_study_parallel(machine, sizes, pairs=5),
         "network_sim": bench_network_sim(machine, smoke, repeats),
         "study_service": bench_study_service(machine, smoke),
         "trace_overhead": bench_trace_overhead(machine, repeats, sizes),
@@ -673,9 +694,11 @@ def main() -> int:
                 "engines": list(ENGINES),
                 "cc": compiled_cc(),
                 "numba": numba_version,
+                **provenance(),
                 "note": (
                     "Wall-clock fields are host-specific; only the "
-                    "reference/fast and cold/hit ratios are gated."
+                    "reference/fast, cold/hit and serial/parallel ratios "
+                    "are gated."
                 ),
             },
             "full": full,

@@ -26,8 +26,14 @@ the records and interval-array bytes of CAPS and Strassen-Winograd
 schedules (n in {256, 512}, threads 2 and 4, every policy), and one
 executed padded build.
 
-  python tools/golden.py            # compare fast, compiled, lowerings, reference
-  python tools/golden.py --write    # regenerate all three goldens
+A fourth golden pins the study service's content addresses: one fixed
+``StudyRequest`` (executed and cost-only cells of all three algorithms)
+served in-process (``workers=0``), with each cell's ``cell_key`` and a
+sha256 over its whole measurement (label, makespan, plane joules,
+flops, DRAM bytes, runtime stats and every power segment).
+
+  python tools/golden.py            # compare fast, compiled, lowerings, reference, store keys
+  python tools/golden.py --write    # regenerate all four goldens
 
 ``--write`` is the only way to regenerate the committed files; every
 golden diff must be justified in CHANGES.md.  Comparison is exact
@@ -54,6 +60,9 @@ LOWERING_GOLDEN = ROOT / "tests" / "golden" / "lowerings.json"
 
 #: The committed reference-engine digests.
 REFERENCE_GOLDEN = ROOT / "tests" / "golden" / "reference.json"
+
+#: The committed service store-key digests.
+STORE_KEYS_GOLDEN = ROOT / "tests" / "golden" / "store_keys.json"
 
 #: Per-cell fields, in report order.
 FIELDS = (
@@ -312,6 +321,87 @@ def load_reference_golden() -> dict:
     return json.loads(REFERENCE_GOLDEN.read_text())
 
 
+#: The request the store-key golden serves: n=64 cells execute and
+#: verify, n=256 cells are cost-only.
+STORE_REQUEST = {
+    "algorithms": ("openblas", "strassen", "caps"),
+    "sizes": (64, 256),
+    "threads": (1, 2),
+    "seed": 2015,
+    "execute_max_n": 64,
+}
+
+#: Per-cell store-key fields, in report order.
+STORE_KEY_FIELDS = ("key", "execute", "measurement")
+
+
+def measurement_digest(m) -> str:
+    """sha256 over every observable of one :class:`RunMeasurement`
+    (floats through JSON ``repr``, so the digest is bit-exact)."""
+    from dataclasses import asdict
+
+    from repro.core.resultstore import canonical_json
+
+    payload = {
+        "label": m.label,
+        "threads": m.threads,
+        "elapsed_s": m.elapsed_s,
+        "energy": [m.energy.package, m.energy.pp0, m.energy.dram],
+        "flops": m.flops,
+        "bytes_dram": m.bytes_dram,
+        "stats": asdict(m.stats),
+        "segments": [
+            [seg.t_start, seg.t_end, {plane.value: w for plane, w in seg.watts.items()}]
+            for seg in m.trace.segments
+        ],
+    }
+    return _sha(canonical_json(payload).encode())
+
+
+def store_key_cells(workers: int = 0) -> dict[str, dict]:
+    """Serve :data:`STORE_REQUEST` from a service with no store (in
+    process by default, or over a pool of *workers*); one record per
+    cell, keyed ``"alg/n/threads"``."""
+    import asyncio
+
+    from repro.service import ServiceConfig, StudyRequest, StudyService
+
+    async def serve():
+        async with StudyService(config=ServiceConfig(workers=workers)) as svc:
+            return await svc.query(StudyRequest(**STORE_REQUEST))
+
+    return {
+        f"{c.spec.algorithm}/{c.spec.n}/{c.spec.threads}": {
+            "key": c.key,
+            "execute": c.spec.execute,
+            "measurement": measurement_digest(c.measurement),
+        }
+        for c in asyncio.run(serve()).cells
+    }
+
+
+def diff_store_keys(expected: dict, actual: dict) -> list[str]:
+    """One line per missing/extra cell and per differing field."""
+    lines = []
+    for key in expected:
+        if key not in actual:
+            lines.append(f"store {key}: missing from the run")
+            continue
+        for field in STORE_KEY_FIELDS:
+            want = expected[key].get(field)
+            got = actual[key].get(field)
+            if want != got:
+                lines.append(f"store {key} {field}: golden {want!r}, got {got!r}")
+    for key in actual:
+        if key not in expected:
+            lines.append(f"store {key}: not in the golden")
+    return lines
+
+
+def load_store_keys_golden() -> dict:
+    return json.loads(STORE_KEYS_GOLDEN.read_text())
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--write", action="store_true",
@@ -349,6 +439,11 @@ def main(argv=None) -> int:
         print(f"wrote {len(reference['grid'])} cells and "
               f"{len(reference['schedules'])} schedules to "
               f"{REFERENCE_GOLDEN.relative_to(ROOT)}")
+        store_keys = store_key_cells()
+        doc = {"machine": "haswell_e3_1225", "engine": "fast", "workers": 0,
+               "request": STORE_REQUEST, "cells": store_keys}
+        STORE_KEYS_GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(store_keys)} cells to {STORE_KEYS_GOLDEN.relative_to(ROOT)}")
         return 0
 
     golden = load_golden()["cells"]
@@ -359,7 +454,9 @@ def main(argv=None) -> int:
     ]
     lines += diff_lowerings(load_lowering_golden()["cells"], lowering_cells())
     lines += diff_reference(load_reference_golden(), reference_cells())
-    print("\n".join(lines) or f"golden matches ({', '.join(runs)}, lowerings, reference)")
+    lines += diff_store_keys(load_store_keys_golden()["cells"], store_key_cells())
+    print("\n".join(lines)
+          or f"golden matches ({', '.join(runs)}, lowerings, reference, store keys)")
     return 1 if lines else 0
 
 
