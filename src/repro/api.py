@@ -2,10 +2,11 @@
 
 One import gives a user everything the paper reproduction exposes::
 
-    from repro.api import Study, RunOptions, haswell_e3_1225
+    from repro.api import Study, RunOptions
+    from repro.core import table3_power
 
-    run = Study(sizes=(512, 1024)).run(RunOptions(parallel=4, trace="out.json"))
-    print(run.result.table3().to_ascii())
+    run = Study(sizes=(512, 1024)).run(RunOptions(parallel=2, trace="out.json"))
+    print(table3_power(run.result).to_ascii())
     print(run.phase_summary().to_ascii())
 
 Design rules (CONTRIBUTING.md "Deprecation policy"):

@@ -33,6 +33,7 @@ this differential oracle in CI.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -113,8 +114,55 @@ class NetworkConfig:
             raise ValidationError("efficiency must be <= 1.0")
 
 
+@functools.lru_cache(maxsize=128)
+def _bcast_template(g: int, chunks: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source, destination) group positions of one broadcast from
+    position 0, in emission order: a binomial tree when ``chunks == 1``,
+    else ``chunks`` passes down the position chain."""
+    if chunks > 1:
+        return _pair_arrays([(i, i + 1) for _ in range(chunks) for i in range(g - 1)])
+    pairs = []
+    have = 1
+    while have < g:
+        pairs += [(i, i + have) for i in range(have) if i + have < g]
+        have *= 2
+    return _pair_arrays(pairs)
+
+
+@functools.lru_cache(maxsize=128)
+def _reduce_template(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Binomial reduction onto position 0 (the broadcast mirrored)."""
+    have = 1
+    while have * 2 < g:
+        have *= 2
+    pairs = []
+    while have >= 1:
+        pairs += [(i + have, i) for i in range(have) if i + have < g]
+        have //= 2
+    return _pair_arrays(pairs)
+
+
+def _pair_arrays(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (sources, destinations) columns of a template (the
+    template caches hand the same arrays to every caller)."""
+    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    arr.setflags(write=False)
+    return arr[:, 0], arr[:, 1]
+
+
+#: All-to-all within a group of 7 (CAPS): every ordered pair, row-major.
+_ALL_TO_ALL7 = _pair_arrays([(a, z) for a in range(7) for z in range(7) if a != z])
+
+
 class _Emitter:
-    """Message/collective emission with topology-aware durations."""
+    """Message/collective emission with topology-aware durations.
+
+    A collective is a (source, destination) template over one group's
+    positions, stamped across a ``(G, g)`` matrix of disjoint rank
+    groups group by group — the emission order of a per-group loop —
+    and appended as one batch: one vectorized hop count and one
+    array-shaped price per batch instead of per message.
+    """
 
     def __init__(
         self, builder: EventStreamBuilder, cluster: ClusterSpec, cfg: NetworkConfig
@@ -124,54 +172,42 @@ class _Emitter:
         self.topo = cluster.topology
         self.cfg = cfg
 
-    def message(self, src: int, dst: int, nbytes: float) -> None:
-        hops = self.topo.hop_count(src, dst, self.b.ranks)
+    def messages(self, src: np.ndarray, dst: np.ndarray, nbytes: float) -> None:
+        """Point-to-point messages of *nbytes* each, in order."""
+        hops = self.topo.hops(src, dst, self.b.ranks)
         rdv = self.net.is_rendezvous(nbytes, self.cfg.protocol)
-        dur = self.net.message_time_s(nbytes, hops, rdv)
-        self.b.message(src, dst, nbytes, dur, rdv)
+        dur = self.net.message_times_s(nbytes, hops, rdv)
+        self.b.messages(src, dst, nbytes, dur, rdv)
 
-    def bcast(self, group: Sequence[int], nbytes: float) -> None:
-        """Broadcast *nbytes* from ``group[0]`` to the rest.
+    def stamp(self, groups: np.ndarray, template, nbytes: float) -> None:
+        """Apply a (sources, destinations) position *template* to every
+        row of *groups*, row by row, as one batch."""
+        si, di = template
+        self.messages(groups[:, si].ravel(), groups[:, di].ravel(), nbytes)
 
-        Binomial tree when ``chunks == 1``; a chunked pipeline down the
-        group chain otherwise."""
-        g = len(group)
-        if g <= 1:
-            return
-        if self.cfg.chunks > 1:
-            chunk = nbytes / self.cfg.chunks
-            for _ in range(self.cfg.chunks):
-                for i in range(g - 1):
-                    self.message(group[i], group[i + 1], chunk)
-            return
-        have = 1
-        while have < g:
-            for i in range(have):
-                j = i + have
-                if j < g:
-                    self.message(group[i], group[j], nbytes)
-            have *= 2
+    def bcast(self, groups: np.ndarray, nbytes: float) -> None:
+        """Broadcast *nbytes* from column 0 to the rest of each row of
+        *groups*.  Binomial tree when ``chunks == 1``; a chunked
+        pipeline down the row otherwise."""
+        chunks = self.cfg.chunks
+        template = _bcast_template(groups.shape[1], chunks)
+        self.stamp(groups, template, nbytes / chunks if chunks > 1 else nbytes)
 
-    def reduce(self, group: Sequence[int], nbytes: float) -> None:
-        """Binomial reduction onto ``group[0]`` (bcast mirrored)."""
-        g = len(group)
-        if g <= 1:
-            return
-        have = 1
-        while have * 2 < g:
-            have *= 2
-        while have >= 1:
-            for i in range(have):
-                j = i + have
-                if j < g:
-                    self.message(group[j], group[i], nbytes)
-            have //= 2
+    def reduce(self, groups: np.ndarray, nbytes: float) -> None:
+        """Binomial reduction onto column 0 of each row of *groups*."""
+        self.stamp(groups, _reduce_template(groups.shape[1]), nbytes)
 
 
-def _rotate(group: list[int], k: int) -> list[int]:
-    """Rotate so the step's owner (index *k*) becomes the bcast root."""
-    k %= len(group)
-    return group[k:] + group[:k]
+def _rotate(groups: np.ndarray, k: int) -> np.ndarray:
+    """Rotate each group so the step's owner (position *k*) becomes the
+    bcast root."""
+    return np.roll(groups, -k, axis=1)
+
+
+def _fibers(ranks: int, c: int) -> np.ndarray:
+    """The layer fibers of ``c`` stacked layers: row *i* holds position
+    *i* of every layer, ``[l * (ranks // c) + i for l in range(c)]``."""
+    return np.arange(ranks, dtype=np.int64).reshape(c, ranks // c).T
 
 
 def _compute_rate(cluster: ClusterSpec, cfg: NetworkConfig) -> float:
@@ -202,13 +238,11 @@ def summa2d_events(
     rate = _compute_rate(cluster, cfg)
     step_dur = (2.0 * float(n) ** 3 / ranks / s) / rate
     panel = (n / s) * (n / s) * _WORD
+    grid = np.arange(ranks, dtype=np.int64).reshape(s, s)
     for k in range(s):
-        for r in range(s):
-            em.bcast(_rotate([r * s + c for c in range(s)], k), panel)
-        for c in range(s):
-            em.bcast(_rotate([r * s + c for r in range(s)], k), panel)
-        for p in range(ranks):
-            b.compute(p, step_dur)
+        em.bcast(_rotate(grid, k), panel)
+        em.bcast(_rotate(grid.T, k), panel)
+        b.computes(grid.ravel(), step_dur)
     return b.build(f"summa2d:n{n}:p{ranks}")
 
 
@@ -236,23 +270,20 @@ def summa25d_events(
     rate = _compute_rate(cluster, cfg)
     block = (n / p) * (n / p) * _WORD
     step_dur = (2.0 * (float(n) / p) ** 3) / rate
+    fibers = _fibers(ranks, c)
     if c > 1:
-        for i in range(p2):
-            em.bcast([l * p2 + i for l in range(c)], 2.0 * block)
+        em.bcast(fibers, 2.0 * block)
     steps_per_layer = p // c
+    grid = np.arange(p2, dtype=np.int64).reshape(p, p)
     for l in range(c):
-        base = l * p2
+        layer = l * p2 + grid
         for t in range(steps_per_layer):
             k = l * steps_per_layer + t
-            for r in range(p):
-                em.bcast(_rotate([base + r * p + cc for cc in range(p)], k), block)
-            for cc in range(p):
-                em.bcast(_rotate([base + rr * p + cc for rr in range(p)], k), block)
-            for idx in range(p2):
-                b.compute(base + idx, step_dur)
+            em.bcast(_rotate(layer, k), block)
+            em.bcast(_rotate(layer.T, k), block)
+            b.computes(layer.ravel(), step_dur)
     if c > 1:
-        for i in range(p2):
-            em.reduce([l * p2 + i for l in range(c)], block)
+        em.reduce(fibers, block)
     return b.build(f"summa25d:n{n}:p{ranks}:c{c}")
 
 
@@ -278,17 +309,15 @@ def summa15d_events(
     block = (float(n) * n / p) * _WORD  # one B block-row (n/p x n)
     round_dur = (2.0 * float(n) ** 3 / p / p) / rate
     rounds = p // c
+    ring = np.arange(p, dtype=np.int64)
     for l in range(c):
         base = l * p
         for t in range(rounds):
-            for i in range(p):
-                b.compute(base + i, round_dur)
+            b.computes(base + ring, round_dur)
             if t < rounds - 1:
-                for i in range(p):
-                    em.message(base + i, base + (i + c) % p, block)
+                em.messages(base + ring, base + (ring + c) % p, block)
     if c > 1:
-        for i in range(p):
-            em.reduce([l * p + i for l in range(c)], block)
+        em.reduce(_fibers(ranks, c), block)
     return b.build(f"summa15d:n{n}:p{ranks}:c{c}")
 
 
@@ -315,19 +344,16 @@ def caps_events(
             n, ranks, cluster.node_memory_words(), omega_for_algorithm("caps-dist")
         )
         per_partner = floor / k / 6.0
+        everyone = np.arange(ranks, dtype=np.int64)
         for step in range(k):
             stride = 7**step
-            for hi in range(ranks // (stride * 7)):
-                for lo in range(stride):
-                    group = [hi * stride * 7 + j * stride + lo for j in range(7)]
-                    for a in group:
-                        for z in group:
-                            if a != z:
-                                em.message(a, z, per_partner)
+            # Stride groups [hi*7*stride + j*stride + lo for j in 0..6],
+            # one row per (hi, lo) in loop order.
+            groups = everyone.reshape(-1, 7, stride).transpose(0, 2, 1).reshape(-1, 7)
+            em.stamp(groups, _ALL_TO_ALL7, per_partner)
     rate = _compute_rate(cluster, cfg)
     dur = strassen_flops(n, cfg.leaf_cutoff) / ranks / rate
-    for r in range(ranks):
-        b.compute(r, dur)
+    b.computes(np.arange(ranks, dtype=np.int64), dur)
     return b.build(f"caps:n{n}:p{ranks}")
 
 
@@ -341,7 +367,9 @@ def broadcast_events(
     ``chunks == 1``, ``pipelined_broadcast`` otherwise) bit-for-bit."""
     require_positive(ranks, "ranks")
     b = EventStreamBuilder(ranks)
-    _Emitter(b, cluster, cfg or NetworkConfig()).bcast(list(range(ranks)), nbytes)
+    _Emitter(b, cluster, cfg or NetworkConfig()).bcast(
+        np.arange(ranks, dtype=np.int64)[None, :], nbytes
+    )
     return b.build(f"bcast:p{ranks}")
 
 
@@ -418,14 +446,20 @@ def simulate(
     cfg: NetworkConfig | None = None,
     engine: str = "events",
 ) -> NetRunResult:
-    """Build, sweep and reduce one schedule under *engine*."""
+    """Build, sweep and reduce one schedule under *engine*.
+
+    Traced as ``netsim.lower`` (attrs: ``events``) around the lowering
+    and ``netsim.events`` around the sweep and reductions."""
     if engine not in NET_ENGINES:
         raise ValidationError(
             f"unknown net engine {engine!r}; expected one of {NET_ENGINES}"
         )
     cfg = cfg or NetworkConfig()
-    prog = build_events(cluster, algorithm, n, ranks, cfg)
-    agg = prog.simulate(engine)
+    with trace.span("netsim.lower") as span:
+        prog = build_events(cluster, algorithm, n, ranks, cfg)
+        span.set(events=prog.n_events)
+    with trace.span("netsim.events", engine=engine):
+        agg = prog.simulate(engine)
     floor = communication_floor_bytes(
         n, ranks, cluster.node_memory_words(), omega_for_algorithm(algorithm)
     )
@@ -465,13 +499,12 @@ def bsp_events(cluster: ClusterSpec, program: Sequence[Superstep]) -> RankEventP
             )
     g, barrier_l = bsp_constants(cluster.interconnect, ranks)
     b = EventStreamBuilder(ranks)
+    everyone = np.arange(ranks, dtype=np.int64)
     for step in program:
-        for r in range(ranks):
-            b.compute(r, step.compute_s[r])
+        b.computes(everyone, step.compute_s)
         h = max(step.h_bytes)
         b.barrier(g * h + barrier_l)
-        for r in range(ranks):
-            b.mark_recv(r, step.h_bytes[r])
+        b.mark_recvs(everyone, step.h_bytes)
     return b.build("bsp-events")
 
 

@@ -163,15 +163,24 @@ class InterconnectSpec:
         At ``hops=1`` eager this is *bit-identical* to
         ``transfer_time_s(nbytes)`` — the differential oracle between
         the event simulator and the closed-form models relies on it.
-        Rendezvous pays the latency twice (request + payload).
+        Rendezvous pays the latency twice (request + payload).  One
+        element of :meth:`message_times_s`.
         """
-        require_nonnegative(nbytes, "nbytes")
-        require_positive(hops, "hops")
+        return float(self.message_times_s(nbytes, hops, rendezvous))
+
+    def message_times_s(self, nbytes, hops=1, rendezvous=False) -> np.ndarray:
+        """:meth:`message_time_s` over arrays (broadcast together): the
+        same operations in the same order, so every element is
+        bit-identical to the scalar price."""
+        nbytes = np.asarray(nbytes, dtype=np.float64)
+        hops = np.asarray(hops)
+        if np.any(nbytes < 0):
+            raise ValidationError(f"nbytes must be >= 0, got {float(nbytes.min())!r}")
+        if not np.all(hops > 0):
+            raise ValidationError(f"hops must be > 0, got {hops.min().item()!r}")
         lat = self.latency_s + (hops - 1) * self.hop_latency_s
         t = lat + nbytes / self.bandwidth_bytes_per_s
-        if rendezvous:
-            t = lat + t
-        return t
+        return np.where(rendezvous, lat + t, t)
 
     def is_rendezvous(self, nbytes: float, protocol: str = "auto") -> bool:
         """Resolve the send protocol for a message of *nbytes*."""

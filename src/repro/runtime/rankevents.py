@@ -62,58 +62,151 @@ NET_ENGINES = ("events", "ranks")
 class EventStreamBuilder:
     """Appends rank events in program order, maintaining per-rank chains.
 
-    Events are kept as parallel scalar lists (SoA) — the builder never
-    creates an object per event.  ``_last[r]`` is the id of rank *r*'s
-    most recent event; chaining every new event on it models the
-    single-port serialization of a NIC.
+    Events are kept as SoA column chunks, one chunk per batch — the
+    builder never creates an object per event.  ``_last[r]`` is the id
+    of rank *r*'s most recent event; chaining every new event on it
+    models the single-port serialization of a NIC.
+
+    Every append goes through the batch methods (:meth:`messages`,
+    :meth:`computes`, :meth:`mark_recvs`), which take a whole sequence
+    in emission order and resolve each event's chain dependency as "the
+    previous event on the same rank in this batch, else ``_last``" with
+    one stable argsort by rank — so a rank may appear any number of
+    times in one batch.  The scalar methods are one-element batches.  A
+    batch is validated in full before anything is appended.
     """
 
     def __init__(self, ranks: int):
         require_positive(ranks, "ranks")
         self.ranks = ranks
-        self._kind: list[int] = []
-        self._rank: list[int] = []
-        self._peer: list[int] = []
-        self._nbytes: list[float] = []
-        self._dur: list[float] = []
-        self._dep_flat: list[int] = []
-        self._dep_counts: list[int] = []
-        self._last: list[int] = [-1] * ranks
+        self._kind: list[np.ndarray] = []
+        self._rank: list[np.ndarray] = []
+        self._peer: list[np.ndarray] = []
+        self._nbytes: list[np.ndarray] = []
+        self._dur: list[np.ndarray] = []
+        self._dep_flat: list[np.ndarray] = []
+        self._dep_counts: list[np.ndarray] = []
+        self._n = 0
+        self._last = np.full(ranks, -1, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._kind)
+        return self._n
 
-    def _emit(
-        self,
-        kind: int,
-        rank: int,
-        peer: int,
-        nbytes: float,
-        duration: float,
-        deps: list[int],
-    ) -> int:
-        eid = len(self._kind)
-        self._kind.append(kind)
+    # _ranks and _values copy their input: the builder keeps the arrays
+    # it is given, and a caller may reuse its own afterwards.
+
+    def _ranks(self, ranks) -> np.ndarray:
+        ranks = np.array(ranks, dtype=np.int64).ravel()
+        if len(ranks) and (ranks.min() < 0 or ranks.max() >= self.ranks):
+            bad = ranks[(ranks < 0) | (ranks >= self.ranks)][0]
+            raise ValidationError(f"rank {bad} out of range for {self.ranks} ranks")
+        return ranks
+
+    @staticmethod
+    def _values(values, m: int, name: str) -> np.ndarray:
+        values = np.array(values, dtype=np.float64)
+        if values.ndim and values.shape != (m,):
+            raise ValidationError(f"{name}: {values.size} values for {m} events")
+        values = np.broadcast_to(values, (m,))
+        if np.any(values < 0):
+            raise ValidationError(f"{name} must be >= 0, got {float(values[values < 0][0])!r}")
+        return values
+
+    def _chain(self, ranks: np.ndarray) -> np.ndarray:
+        """Chain heads of a batch whose events sit on *ranks* (emission
+        order): each event's previous event on its rank — earlier in the
+        batch, else ``_last`` — or -1.  Advances ``_last`` past the
+        batch."""
+        m = len(ranks)
+        order = np.argsort(ranks, kind="stable")
+        by_rank = ranks[order]
+        first = np.ones(m, dtype=bool)
+        first[1:] = by_rank[1:] != by_rank[:-1]
+        heads = np.empty(m, dtype=np.int64)
+        heads[1:] = order[:-1] + self._n
+        heads[first] = self._last[by_rank[first]]
+        out = np.empty(m, dtype=np.int64)
+        out[order] = heads
+        final = np.ones(m, dtype=bool)
+        final[:-1] = first[1:]
+        self._last[by_rank[final]] = order[final] + self._n
+        return out
+
+    def _append(self, kind, rank, peer, nbytes, dur, deps: np.ndarray) -> np.ndarray:
+        """Append one batch; *deps* holds each event's dependencies in
+        order, one row per event, padded with -1."""
+        m = len(rank)
+        present = deps >= 0
+        self._kind.append(np.broadcast_to(np.asarray(kind, dtype=np.int64), (m,)))
         self._rank.append(rank)
-        self._peer.append(peer)
-        self._nbytes.append(nbytes)
-        self._dur.append(duration)
-        self._dep_flat.extend(deps)
-        self._dep_counts.append(len(deps))
-        return eid
+        self._peer.append(np.broadcast_to(np.asarray(peer, dtype=np.int64), (m,)))
+        self._nbytes.append(np.broadcast_to(np.asarray(nbytes, dtype=np.float64), (m,)))
+        self._dur.append(np.broadcast_to(np.asarray(dur, dtype=np.float64), (m,)))
+        self._dep_flat.append(deps[present])
+        self._dep_counts.append(present.sum(axis=1))
+        ids = np.arange(self._n, self._n + m, dtype=np.int64)
+        self._n += m
+        return ids
 
-    def _chain(self, rank: int) -> list[int]:
-        if not 0 <= rank < self.ranks:
-            raise ValidationError(f"rank {rank} out of range for {self.ranks} ranks")
-        head = self._last[rank]
-        return [head] if head >= 0 else []
+    def _chained(self, kind: int, ranks, nbytes, seconds) -> np.ndarray:
+        """One event per entry of *ranks*, each chained on its rank."""
+        ranks = self._ranks(ranks)
+        m = len(ranks)
+        seconds = self._values(seconds, m, "seconds")
+        nbytes = self._values(nbytes, m, "nbytes")
+        if not m:
+            return np.empty(0, dtype=np.int64)
+        heads = self._chain(ranks)
+        return self._append(kind, ranks, -1, nbytes, seconds, heads[:, None])
+
+    def computes(self, ranks, seconds) -> np.ndarray:
+        """Local work: one compute event per entry of *ranks*, each on
+        its rank's chain, in the given order.  *seconds* is one duration
+        per event or a scalar for all; returns the event ids."""
+        return self._chained(KIND_COMPUTE, ranks, 0.0, seconds)
 
     def compute(self, rank: int, seconds: float) -> int:
         """Local work on *rank*'s chain."""
-        require_nonnegative(seconds, "seconds")
-        eid = self._emit(KIND_COMPUTE, rank, -1, 0.0, seconds, self._chain(rank))
-        self._last[rank] = eid
-        return eid
+        return int(self.computes([rank], seconds)[0])
+
+    def messages(self, src, dst, nbytes, durations, rendezvous=False):
+        """A sequence of point-to-point messages, in the given order;
+        returns ``(send_ids, recv_ids)``.
+
+        Message *i* is a send on ``src[i]`` then a receive on ``dst[i]``
+        (see :meth:`message`).  *nbytes*, *durations* and *rendezvous*
+        are per message or scalars for all.
+        """
+        src = self._ranks(src)
+        dst = self._ranks(dst)
+        if len(src) != len(dst):
+            raise ValidationError(f"{len(src)} sources for {len(dst)} destinations")
+        m = len(src)
+        nbytes = self._values(nbytes, m, "nbytes")
+        durations = self._values(durations, m, "duration")
+        if np.any(src == dst):
+            raise ValidationError("self-message: src == dst")
+        if not m:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        rdv = np.broadcast_to(np.asarray(rendezvous, dtype=bool), (m,))
+        on = np.column_stack((src, dst)).ravel()  # send on src, then recv on dst
+        heads = self._chain(on).reshape(m, 2)
+        sends = self._n + 2 * np.arange(m, dtype=np.int64)
+        deps = np.empty((2 * m, 2), dtype=np.int64)
+        deps[0::2, 0] = heads[:, 0]
+        deps[0::2, 1] = np.where(rdv, heads[:, 1], -1)
+        deps[1::2, 0] = heads[:, 1]
+        deps[1::2, 1] = sends
+        ids = self._append(
+            np.tile(np.array([KIND_SEND, KIND_RECV], dtype=np.int64), m),
+            on,
+            np.column_stack((dst, src)).ravel(),
+            np.repeat(nbytes, 2),
+            np.column_stack((durations, np.zeros(m))).ravel(),
+            deps,
+        )
+        return ids[0::2], ids[1::2]
 
     def message(
         self,
@@ -131,49 +224,43 @@ class EventStreamBuilder:
         a zero-duration arrival on the receiver's chain — it completes
         when both the wire and the receiver's previous operation have.
         """
-        require_nonnegative(nbytes, "nbytes")
-        require_nonnegative(duration, "duration")
-        if src == dst:
-            raise ValidationError("self-message: src == dst")
-        deps = self._chain(src)
-        if rendezvous:
-            deps += self._chain(dst)
-        send = self._emit(KIND_SEND, src, dst, nbytes, duration, deps)
-        self._last[src] = send
-        recv = self._emit(
-            KIND_RECV, dst, src, nbytes, 0.0, self._chain(dst) + [send]
-        )
-        self._last[dst] = recv
-        return send, recv
+        sends, recvs = self.messages([src], [dst], nbytes, duration, rendezvous)
+        return int(sends[0]), int(recvs[0])
 
     def barrier(self, duration: float = 0.0) -> int:
         """Global join: one SYNC event depending on every rank's chain
         head, which then becomes every rank's new head.  *duration*
         models the barrier (or BSP comm-phase) cost."""
         require_nonnegative(duration, "duration")
-        deps = [h for h in self._last if h >= 0]
-        eid = self._emit(KIND_SYNC, 0, -1, 0.0, duration, deps)
-        for r in range(self.ranks):
-            self._last[r] = eid
-        return eid
+        (eid,) = self._append(
+            KIND_SYNC, np.zeros(1, dtype=np.int64), -1, 0.0, duration,
+            self._last[None, :],
+        )
+        self._last[:] = eid
+        return int(eid)
+
+    def mark_recvs(self, ranks, nbytes) -> np.ndarray:
+        """Zero-duration accounting events: charge ``nbytes[i]`` of
+        received traffic to ``ranks[i]`` without advancing time (used
+        by the BSP lowering, whose h-relation volume is priced inside
+        the barrier)."""
+        return self._chained(KIND_RECV, ranks, nbytes, 0.0)
 
     def mark_recv(self, rank: int, nbytes: float) -> int:
-        """Zero-duration accounting event: charge *nbytes* of received
-        traffic to *rank* without advancing time (used by the BSP
-        lowering, whose h-relation volume is priced inside the
-        barrier)."""
-        require_nonnegative(nbytes, "nbytes")
-        eid = self._emit(KIND_RECV, rank, -1, nbytes, 0.0, self._chain(rank))
-        self._last[rank] = eid
-        return eid
+        """One :meth:`mark_recvs` event."""
+        return int(self.mark_recvs([rank], nbytes)[0])
 
     def build(self, name: str = "rank-events") -> "RankEventProgram":
         """Freeze the stream into a :class:`RankEventProgram`."""
         n = len(self)
-        kind = np.asarray(self._kind, dtype=np.int64)
+
+        def column(chunks: list[np.ndarray], dtype) -> np.ndarray:
+            return np.concatenate(chunks, dtype=dtype) if chunks else np.empty(0, dtype)
+
+        kind = column(self._kind, np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
         if n:
-            np.cumsum(self._dep_counts, out=indptr[1:])
+            np.cumsum(column(self._dep_counts, np.int64), out=indptr[1:])
         zeros = np.zeros(n, dtype=np.float64)
         arena = TaskArena(
             name=name,
@@ -183,15 +270,15 @@ class EventStreamBuilder:
             untied=np.ones(n, dtype=bool),
             created_by=np.full(n, NO_CREATOR, dtype=np.int64),
             dep_indptr=indptr,
-            dep_indices=np.asarray(self._dep_flat, dtype=np.int64),
+            dep_indices=column(self._dep_flat, np.int64),
         )
         return RankEventProgram(
             ranks=self.ranks,
             kind=kind,
-            rank=np.asarray(self._rank, dtype=np.int64),
-            peer=np.asarray(self._peer, dtype=np.int64),
-            nbytes=np.asarray(self._nbytes, dtype=np.float64),
-            durations=np.asarray(self._dur, dtype=np.float64),
+            rank=column(self._rank, np.int64),
+            peer=column(self._peer, np.int64),
+            nbytes=column(self._nbytes, np.float64),
+            durations=column(self._dur, np.float64),
             arena=arena,
         )
 

@@ -177,3 +177,20 @@ def test_sweep_rejects_bad_arguments():
         NetworkSweep(ClusterSpec(), "summa", engine="gpu")
     with pytest.raises(Exception):
         NetworkSweep(ClusterSpec()).run(1024, [])
+
+
+def test_sweep_span_tree_splits_lowering_from_the_sweep():
+    from repro.observability import trace
+
+    with trace.tracing() as tracer:
+        result = NetworkSweep(GNARLY, "summa25d", NetworkConfig(c=2)).run(1024, [8, 32])
+    (root,) = tracer.find("netsim.sweep")
+    cells = list(tracer.children(root))
+    assert [sp.name for sp in cells] == ["cell", "cell"]
+    for cell, run in zip(cells, result.results):
+        assert cell.attrs["nodes"] == run.ranks
+        lower, events = tracer.children(cell)
+        assert (lower.name, events.name) == ("netsim.lower", "netsim.events")
+        assert lower.attrs["events"] == run.n_events
+        assert events.attrs["engine"] == "events"
+        assert lower.duration_s + events.duration_s <= cell.duration_s

@@ -244,3 +244,28 @@ class TestAvailableEngines:
             f, c = fast.result.runs[key], comp.result.runs[key]
             assert f.elapsed_s == c.elapsed_s
             assert f.energy.package == c.energy.package
+
+
+def _module_example(doc: str) -> str:
+    """The indented code block after the first ``::`` of *doc*."""
+    lines = doc.split("::\n", 1)[1].splitlines()
+    block = []
+    for line in lines:
+        if line and not line.startswith("    "):
+            break
+        block.append(line[4:])
+    return "\n".join(block).strip() + "\n"
+
+
+def test_module_docstring_example_runs(tmp_path, monkeypatch, capsys):
+    """The facade's first example, on a tiny cost-only grid."""
+    import repro.api
+
+    example = _module_example(repro.api.__doc__)
+    grid = "Study(sizes=(512, 1024))"
+    assert grid in example
+    monkeypatch.chdir(tmp_path)
+    exec(example.replace(grid, f"Study(**{CFG!r})"), {})
+    out = capsys.readouterr().out
+    assert "strassen" in out.lower() and "cell" in out
+    assert (tmp_path / "out.json").exists()

@@ -15,7 +15,10 @@ CAPS and Strassen schedules under every policy.  The fast golden cannot
 stand in for it, because the engines are not decision-for-decision
 identical on every CAPS lowering (see ROADMAP item 2).  A fourth,
 ``tests/golden/store_keys.json``, pins the study service: each cell's
-content address and a digest of its served measurement.
+content address and a digest of its served measurement.  A fifth,
+``tests/golden/netsim.json``, pins the network simulator's event
+lowering: the stream columns, finish times and per-rank reductions of
+every event-simulated algorithm on every topology and send protocol.
 
 Regenerate only with ``python tools/golden.py --write`` and justify the
 diff in CHANGES.md.
@@ -120,4 +123,37 @@ def test_store_key_diff_names_cell_and_field():
     assert golden.diff_store_keys(expected, actual) == [
         "store caps/64/1 measurement: golden 'aa', got 'bb'",
         "store caps/64/2: not in the golden",
+    ]
+
+
+def test_netsim_matches_golden():
+    expected = golden.load_netsim_golden()
+    assert expected["interconnect"]["hop_latency_s"] > 0.0
+    assert expected["cells"]["perfbench/summa25d/torus2d/c2/2048"]["n_events"] == 163840
+    lines = golden.diff_netsim(expected["cells"], golden.netsim_cells())
+    assert not lines, "netsim drift:\n" + "\n".join(lines)
+
+
+def test_netsim_golden_covers_every_algorithm_topology_and_protocol():
+    from repro.distributed import NET_ALGORITHMS, TOPOLOGY_KINDS
+
+    cells = golden.load_netsim_golden()["cells"]
+    for alg in NET_ALGORITHMS:
+        for topo in TOPOLOGY_KINDS:
+            for proto in ("eager", "rendezvous", "auto", "auto/chunks4"):
+                assert f"{alg}/{topo}/{proto}" in cells
+    # The spec's per-hop latency and eager threshold reach the durations.
+    assert cells["summa25d/ring/auto"]["stream"] != cells["summa25d/flat/auto"]["stream"]
+    assert cells["summa25d/flat/auto"]["stream"] not in {
+        cells["summa25d/flat/eager"]["stream"],
+        cells["summa25d/flat/rendezvous"]["stream"],
+    }
+
+
+def test_netsim_diff_names_cell_and_field():
+    expected = {"summa/flat/eager": {"stream": "aa", "n_events": 3}}
+    actual = {"summa/flat/eager": {"stream": "bb", "n_events": 3}, "summa/ring/eager": {}}
+    assert golden.diff_netsim(expected, actual) == [
+        "netsim summa/flat/eager stream: golden 'aa', got 'bb'",
+        "netsim summa/ring/eager: not in the golden",
     ]

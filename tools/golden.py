@@ -32,8 +32,17 @@ served in-process (``workers=0``), with each cell's ``cell_key`` and a
 sha256 over its whole measurement (label, makespan, plane joules,
 flops, DRAM bytes, runtime stats and every power segment).
 
-  python tools/golden.py            # compare fast, compiled, lowerings, reference, store keys
-  python tools/golden.py --write    # regenerate all four goldens
+A fifth golden pins the network simulator's event lowering: for the
+four event-simulated algorithms on every topology under every send
+protocol (and chunked broadcasts), one sha256 over the seven stream
+columns (kind, rank, peer, nbytes, durations and the dependency CSR),
+one over the swept finish times, and the makespan, event count and
+per-rank reductions.  It runs under an interconnect with a per-hop
+latency and a finite eager threshold, so topology and protocol both
+reach the durations (the default spec prices every hop count alike).
+
+  python tools/golden.py            # compare fast, compiled, lowerings, reference, store keys, netsim
+  python tools/golden.py --write    # regenerate all five goldens
 
 ``--write`` is the only way to regenerate the committed files; every
 golden diff must be justified in CHANGES.md.  Comparison is exact
@@ -63,6 +72,9 @@ REFERENCE_GOLDEN = ROOT / "tests" / "golden" / "reference.json"
 
 #: The committed service store-key digests.
 STORE_KEYS_GOLDEN = ROOT / "tests" / "golden" / "store_keys.json"
+
+#: The committed network-simulator digests.
+NETSIM_GOLDEN = ROOT / "tests" / "golden" / "netsim.json"
 
 #: Per-cell fields, in report order.
 FIELDS = (
@@ -402,6 +414,115 @@ def load_store_keys_golden() -> dict:
     return json.loads(STORE_KEYS_GOLDEN.read_text())
 
 
+#: Network golden schedules: algorithm -> (n, ranks, c).  Sizes are
+#: picked so that ``auto`` mixes protocols where a schedule has more
+#: than one message size (summa25d: 51200-byte reductions stay eager,
+#: 102400-byte replications go rendezvous) and chunking crosses the
+#: 65536-byte threshold (summa: 131072-byte panels, 32768-byte chunks).
+NETSIM_SCHEDULES: dict[str, tuple[int, int, int]] = {
+    "summa": (1024, 64, 1),
+    "summa25d": (640, 128, 2),
+    "summa15d": (1024, 128, 2),
+    "caps-dist": (1024, 343, 1),
+}
+
+#: Per-netsim-cell fields, in report order.
+NETSIM_FIELDS = (
+    "stream",
+    "finish",
+    "total_time_s",
+    "n_events",
+    "compute_s",
+    "sent_bytes",
+    "recv_bytes",
+)
+
+
+def netsim_interconnect():
+    """The golden's interconnect: a per-hop latency and a finite eager
+    threshold on top of the default alpha-beta spec."""
+    from repro.distributed import InterconnectSpec
+
+    return InterconnectSpec(hop_latency_s=5e-7, eager_threshold_bytes=65536)
+
+
+def netsim_digest(prog) -> dict:
+    """Stream-column and finish-time hashes plus the reductions of one
+    :class:`~repro.runtime.rankevents.RankEventProgram`."""
+    import numpy as np
+
+    i64 = lambda a: np.ascontiguousarray(a, dtype="<i8").tobytes()  # noqa: E731
+    f64 = lambda a: np.ascontiguousarray(a, dtype="<f8").tobytes()  # noqa: E731
+    finish = prog.finish_times("events")
+    agg = prog.aggregate(finish)
+    return {
+        "stream": _sha(i64(prog.kind), b"|", i64(prog.rank), b"|", i64(prog.peer),
+                       b"|", f64(prog.nbytes), b"|", f64(prog.durations),
+                       b"|", i64(prog.arena.dep_indptr), b"|",
+                       i64(prog.arena.dep_indices)),
+        "finish": _sha(f64(finish)),
+        "total_time_s": agg.total_s,
+        "n_events": prog.n_events,
+        "compute_s": _sha(f64(agg.compute_s)),
+        "sent_bytes": _sha(f64(agg.sent_bytes)),
+        "recv_bytes": _sha(f64(agg.recv_bytes)),
+    }
+
+
+def netsim_programs():
+    """Yield ``(key, thunk)`` for every network golden cell; the thunk
+    lowers that cell's event program."""
+    from repro.distributed import ClusterSpec, NetworkConfig, Topology, TOPOLOGY_KINDS
+    from repro.distributed.bsp import caps_program
+    from repro.distributed.netsim import broadcast_events, bsp_events, build_events
+
+    spec = netsim_interconnect()
+    for alg, (n, ranks, c) in NETSIM_SCHEDULES.items():
+        for topo in TOPOLOGY_KINDS:
+            cluster = ClusterSpec(interconnect=spec, topology=Topology(topo))
+            variants = [(proto, 1) for proto in ("eager", "rendezvous", "auto")]
+            for proto, chunks in variants + [("auto", 4)]:
+                cfg = NetworkConfig(protocol=proto, chunks=chunks, c=c)
+                key = f"{alg}/{topo}/{proto}" + (f"/chunks{chunks}" if chunks > 1 else "")
+                yield key, (lambda cl=cluster, a=alg, n=n, r=ranks, cfg=cfg:
+                            build_events(cl, a, n, r, cfg))
+    # The perfbench netsim-25d-torus cell at its largest rank count.
+    yield "perfbench/summa25d/torus2d/c2/2048", lambda: build_events(
+        ClusterSpec(topology=Topology("torus2d")), "summa25d", 16384, 2048,
+        NetworkConfig(c=2))
+    torus = ClusterSpec(interconnect=spec, topology=Topology("torus2d"))
+    yield "broadcast/torus2d/100", lambda: broadcast_events(torus, 100, 300000.0)
+    yield "bsp/caps/49", lambda: bsp_events(
+        torus, caps_program(torus, 1024, 49, imbalance=0.25))
+
+
+def netsim_cells() -> dict[str, dict]:
+    """Lower and sweep every network golden cell; one digest per cell."""
+    return {key: netsim_digest(make()) for key, make in netsim_programs()}
+
+
+def diff_netsim(expected: dict, actual: dict) -> list[str]:
+    """One line per missing/extra cell and per differing field."""
+    lines = []
+    for key in expected:
+        if key not in actual:
+            lines.append(f"netsim {key}: missing from the run")
+            continue
+        for field in NETSIM_FIELDS:
+            want = expected[key].get(field)
+            got = actual[key].get(field)
+            if want != got:
+                lines.append(f"netsim {key} {field}: golden {want!r}, got {got!r}")
+    for key in actual:
+        if key not in expected:
+            lines.append(f"netsim {key}: not in the golden")
+    return lines
+
+
+def load_netsim_golden() -> dict:
+    return json.loads(NETSIM_GOLDEN.read_text())
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--write", action="store_true",
@@ -444,6 +565,13 @@ def main(argv=None) -> int:
                "request": STORE_REQUEST, "cells": store_keys}
         STORE_KEYS_GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote {len(store_keys)} cells to {STORE_KEYS_GOLDEN.relative_to(ROOT)}")
+        netsim = netsim_cells()
+        spec = netsim_interconnect()
+        doc = {"interconnect": {"hop_latency_s": spec.hop_latency_s,
+                                "eager_threshold_bytes": spec.eager_threshold_bytes},
+               "cells": netsim}
+        NETSIM_GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(netsim)} cells to {NETSIM_GOLDEN.relative_to(ROOT)}")
         return 0
 
     golden = load_golden()["cells"]
@@ -455,8 +583,9 @@ def main(argv=None) -> int:
     lines += diff_lowerings(load_lowering_golden()["cells"], lowering_cells())
     lines += diff_reference(load_reference_golden(), reference_cells())
     lines += diff_store_keys(load_store_keys_golden()["cells"], store_key_cells())
+    lines += diff_netsim(load_netsim_golden()["cells"], netsim_cells())
     print("\n".join(lines)
-          or f"golden matches ({', '.join(runs)}, lowerings, reference, store keys)")
+          or f"golden matches ({', '.join(runs)}, lowerings, reference, store keys, netsim)")
     return 1 if lines else 0
 
 
